@@ -41,10 +41,25 @@ impl FakeLog {
         days: u32,
         seed: u64,
     ) -> FakeLog {
-        assert!(!user_pool.is_empty() && !patient_pool.is_empty());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let first_row = db.table(log).len() as RowId;
-        let next_lid = 1 + db
+        let first_lid = Self::next_lid(db, log, cols);
+        Self::inject_at(
+            db,
+            log,
+            user_pool,
+            patient_pool,
+            count,
+            days,
+            seed,
+            first_lid,
+        )
+    }
+
+    /// The `Lid` [`FakeLog::inject`] gives its first row: one past the
+    /// largest in the log. This scans the whole log, so a writer that
+    /// appends batch after batch computes it once and then calls
+    /// [`FakeLog::inject_at`], advancing the lid by each batch's `count`.
+    pub fn next_lid(db: &Database, log: eba_relational::TableId, cols: &LogColumns) -> i64 {
+        1 + db
             .table(log)
             .iter()
             .map(|(_, row)| match row[cols.lid] {
@@ -52,7 +67,25 @@ impl FakeLog {
                 _ => 0,
             })
             .max()
-            .unwrap_or(0);
+            .unwrap_or(0)
+    }
+
+    /// [`FakeLog::inject`] with the first `Lid` given as `next_lid`
+    /// (`O(count)`: no scan of the log).
+    #[allow(clippy::too_many_arguments)] // mirrors `inject`
+    pub fn inject_at(
+        db: &mut Database,
+        log: eba_relational::TableId,
+        user_pool: &[Value],
+        patient_pool: &[Value],
+        count: usize,
+        days: u32,
+        seed: u64,
+        next_lid: i64,
+    ) -> FakeLog {
+        assert!(!user_pool.is_empty() && !patient_pool.is_empty());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let first_row = db.table(log).len() as RowId;
         let action = db.str_value("view");
         let mut seen: HashSet<(Value, Value)> = HashSet::with_capacity(count);
         for i in 0..count {

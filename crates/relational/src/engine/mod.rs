@@ -114,7 +114,7 @@ pub use sharded::{
 };
 pub use shared::{Epoch, IngestReport, Maintained, SharedEngine, SuitePin};
 
-use crate::chain::{ChainQuery, EvalOptions, Rhs, StepFilter};
+use crate::chain::{ChainQuery, ChainStep, EvalOptions, Rhs, StepFilter};
 use crate::database::{Database, TableId};
 use crate::error::Result;
 use crate::rowset::RowSet;
@@ -156,6 +156,19 @@ pub struct RefreshStats {
     /// Per-row maps left stale by the append: **kept**, and extended
     /// over only the new rows when next queried.
     pub stale_row_maps: usize,
+}
+
+/// The previous epoch's unexplained residue as one engine sees it
+/// during a maintained advance ([`Engine::reask_grown`]).
+pub(crate) struct Residue<'a> {
+    /// The residue, in global log row ids.
+    pub rows: &'a RowSet,
+    /// Maps one of this engine's log rows to its global id (the
+    /// identity unless the engine serves one shard of the log).
+    pub to_global: &'a dyn Fn(RowId) -> RowId,
+    /// This engine's slice of the residue in its own row ids: the
+    /// domain of the full re-ask fallback, built only when needed.
+    pub local: &'a dyn Fn() -> RowSet,
 }
 
 /// Identity of a log grouping: all queries sharing the anchor shape (same
@@ -1010,6 +1023,154 @@ impl Engine {
             .collect()
     }
 
+    /// The rows of the previous epoch's unexplained `residue` that
+    /// `pin`'s templates newly explain now that this engine's snapshot
+    /// has grown from `base` by the tables in `grown` — the re-ask half
+    /// of a maintained advance (see [`Maintained`]), in this engine's
+    /// own log row ids.
+    ///
+    /// A template stepping into no grown table cannot newly explain an
+    /// old row and is not asked. For the others, an old row becomes
+    /// newly explained only through a witness chain that uses at least
+    /// one appended tuple, so the candidates come from walking back
+    /// from the appended tuples ([`Engine::delta_candidates`]); those
+    /// still in the residue are re-checked forward with
+    /// [`Engine::eval_suite_rows`], which applies every decoration
+    /// exactly. That costs O(delta × backward fan-out). A template whose
+    /// walk touches more rows than the residue holds is re-asked over
+    /// the whole residue instead, so the cost is capped by the residue.
+    pub(crate) fn reask_grown(
+        &self,
+        db: &Database,
+        base: &InternedDb,
+        grown: &[TableId],
+        pin: &SuitePin,
+        residue: &Residue,
+    ) -> RowSet {
+        let mut explained = RowSet::new();
+        if residue.rows.is_empty() {
+            return explained;
+        }
+        let mut walked: Vec<ChainQuery> = Vec::new();
+        let mut fallback: Vec<ChainQuery> = Vec::new();
+        let mut candidates: Vec<RowId> = Vec::new();
+        let reaches_growth = |q: &&ChainQuery| q.steps.iter().any(|s| grown.contains(&s.table));
+        for q in pin.queries.iter().filter(reaches_growth) {
+            if q.validate(db).is_err() {
+                continue; // answers nothing, cold or maintained
+            }
+            match self.delta_candidates(base, q, grown, residue.rows.len()) {
+                Some(rows) => {
+                    candidates.extend(
+                        rows.into_iter()
+                            .filter(|&r| residue.rows.contains((residue.to_global)(r))),
+                    );
+                    walked.push(q.clone());
+                }
+                None => fallback.push(q.clone()),
+            }
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        let mut ask = |queries: &[ChainQuery], rows: &RowSet| {
+            if queries.is_empty() || rows.is_empty() {
+                return;
+            }
+            for set in self
+                .eval_suite_rows(db, queries, pin.opts, rows)
+                .into_iter()
+                .flatten()
+            {
+                explained.union_with(&set);
+            }
+        };
+        ask(&walked, &RowSet::from_sorted_vec(&candidates));
+        if !fallback.is_empty() {
+            ask(&fallback, &(residue.local)());
+        }
+        explained
+    }
+
+    /// Log rows (ascending) that `q` could newly explain because of the
+    /// rows appended since `base`. For every step whose table grew, the
+    /// appended rows' exit values are walked forward through the later
+    /// steps to the close values they can reach, and their enter values
+    /// back through the earlier steps' `exit → rows` maps to the start
+    /// values that can reach them; the candidates are the log rows that
+    /// start at one and close at the other. When the grown step is the
+    /// first, each appended row's enter value *is* a start, so rows are
+    /// walked per start and a log row must close where a row appended for
+    /// its own start leads (for a one-step template: the appended
+    /// `(start, close)` pairs exactly). NULL never joins, and constant
+    /// filters prune along the way; anchor-dependent filters need an
+    /// anchor row and are ignored, so the set over-approximates (callers
+    /// re-check). `None` once the walk has touched more than `cap` rows.
+    fn delta_candidates(
+        &self,
+        base: &InternedDb,
+        q: &ChainQuery,
+        grown: &[TableId],
+        cap: usize,
+    ) -> Option<Vec<RowId>> {
+        let log = self.snapshot.table(q.log);
+        let by_start = self.rowmap_for(q.log, q.start_col);
+        let mut out: Vec<RowId> = Vec::new();
+        with_scratch_marks(self.snapshot.interner.len(), |marks| {
+            let mut walk = DeltaWalk {
+                engine: self,
+                marks,
+                touched: 0,
+                cap,
+            };
+            for (k, step) in q.steps.iter().enumerate() {
+                if !grown.contains(&step.table) {
+                    continue;
+                }
+                let old = base.tables.get(step.table.0).map_or(0, |t| t.n_rows);
+                let links = walk.appended(step, old);
+                // `(starts, exits)` groups walked to the log together.
+                let groups: Vec<(Vec<u32>, Vec<u32>)> = if k == 0 {
+                    links
+                        .chunk_by(|a, b| a.0 == b.0)
+                        .map(|g| (vec![g[0].0], g.iter().map(|l| l.1).collect()))
+                        .collect()
+                } else {
+                    let mut starts = distinct(links.iter().map(|l| l.0));
+                    for earlier in q.steps[..k].iter().rev() {
+                        starts = walk.hop(earlier, earlier.exit_col, earlier.enter_col, &starts)?;
+                    }
+                    vec![(starts, distinct(links.iter().map(|l| l.1)))]
+                };
+                for (starts, mut closes) in groups {
+                    if q.close_col.is_some() {
+                        for later in &q.steps[k + 1..] {
+                            closes = walk.hop(later, later.enter_col, later.exit_col, &closes)?;
+                        }
+                        if closes.is_empty() {
+                            continue;
+                        }
+                        closes.sort_unstable();
+                    }
+                    for &v in &starts {
+                        for r in by_start.rows_of(v) {
+                            walk.touch()?;
+                            let closes_here = q.close_col.is_none_or(|c| {
+                                closes.binary_search(&log.cols[c][r as usize]).is_ok()
+                            });
+                            if closes_here {
+                                out.push(r);
+                            }
+                        }
+                    }
+                }
+            }
+            Some(())
+        })?;
+        out.sort_unstable();
+        out.dedup();
+        Some(out)
+    }
+
     /// Walks every template of one grouped bucket over the starts in
     /// `[lo, hi)`. Two redundancies the per-query path pays N times are
     /// paid at most once per start here:
@@ -1844,6 +2005,85 @@ fn with_scratch_marks<R>(n_ids: usize, f: impl FnOnce(&mut BitMarks) -> R) -> R 
     })
 }
 
+/// The value frontiers of [`Engine::delta_candidates`]: each hop maps a
+/// deduplicated value set across one chain step, counting the rows it
+/// touches against the walk's cap.
+struct DeltaWalk<'a> {
+    engine: &'a Engine,
+    marks: &'a mut BitMarks,
+    touched: usize,
+    cap: usize,
+}
+
+impl DeltaWalk<'_> {
+    /// Counts one touched row; `None` past the cap.
+    fn touch(&mut self) -> Option<()> {
+        self.touched += 1;
+        (self.touched <= self.cap).then_some(())
+    }
+
+    /// Whether row `r` of `step`'s table can be a chain link at all:
+    /// non-NULL enter and exit, and every constant filter passes.
+    fn joins(&self, step: &ChainStep, table: &InternedTable, r: usize) -> bool {
+        let interner = &self.engine.snapshot.interner;
+        table.cols[step.enter_col][r] != NULL_ID
+            && table.cols[step.exit_col][r] != NULL_ID
+            && step.filters.iter().all(|f| match f.rhs {
+                Rhs::Const(c) => f.op.eval(&interner.value(table.cols[f.col][r]), &c),
+                Rhs::AnchorCol(_) => true,
+            })
+    }
+
+    /// The distinct `(enter, exit)` links of `step`'s joinable rows past
+    /// `old`, sorted.
+    fn appended(&self, step: &ChainStep, old: usize) -> Vec<(u32, u32)> {
+        let table = self.engine.snapshot.table(step.table);
+        let mut links: Vec<(u32, u32)> = (old..table.n_rows)
+            .filter(|&r| self.joins(step, table, r))
+            .map(|r| (table.cols[step.enter_col][r], table.cols[step.exit_col][r]))
+            .collect();
+        links.sort_unstable();
+        links.dedup();
+        links
+    }
+
+    /// The distinct `to` values of `step`'s joinable rows whose `from`
+    /// value is in `frontier`; `None` past the cap.
+    fn hop(
+        &mut self,
+        step: &ChainStep,
+        from: ColId,
+        to: ColId,
+        frontier: &[u32],
+    ) -> Option<Vec<u32>> {
+        let table = self.engine.snapshot.table(step.table);
+        let map = self.engine.rowmap_for(step.table, from);
+        let mut next = Vec::new();
+        for &v in frontier {
+            for r in map.rows_of(v) {
+                if self.touch().is_none() {
+                    self.marks.remove_all(&next);
+                    return None;
+                }
+                let r = r as usize;
+                if self.joins(step, table, r) && self.marks.insert(table.cols[to][r]) {
+                    next.push(table.cols[to][r]);
+                }
+            }
+        }
+        self.marks.remove_all(&next);
+        Some(next)
+    }
+}
+
+/// The distinct values of `vals`, sorted.
+fn distinct(vals: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut v: Vec<u32> = vals.collect();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
 /// A reusable bitset over the dense id space, cleared incrementally so a
 /// long mining run never pays `O(id-space)` per frontier step (nor, via
 /// [`SCRATCH_MARKS`], an `O(id-space)` re-zeroing per candidate query).
@@ -2385,5 +2625,256 @@ mod tests {
         assert_eq!(with, without);
         // Both dedup settings cached their own maps.
         assert_eq!(engine.cached_step_maps(), 6);
+    }
+
+    // ------------------------------------------- delta-anchored re-ask
+
+    /// `q`'s candidates after `db` grew past `base`'s snapshot (no cap).
+    fn candidates(base: &Engine, db: &Database, q: &ChainQuery) -> Vec<RowId> {
+        let mut next = base.fork();
+        let grown = next.refresh(db).unwrap().delta.grown;
+        next.delta_candidates(base.snapshot(), q, &grown, usize::MAX)
+            .expect("uncapped")
+    }
+
+    /// [`Engine::reask_grown`] for `queries` over an explicit residue.
+    fn reask(base: &Engine, db: &Database, queries: &[ChainQuery], residue: &RowSet) -> RowSet {
+        let mut next = base.fork();
+        let grown = next.refresh(db).unwrap().delta.grown;
+        let pin = SuitePin {
+            log: queries[0].log,
+            anchor_filters: vec![],
+            queries: queries.to_vec(),
+            opts: EvalOptions::default(),
+        };
+        let view = Residue {
+            rows: residue,
+            to_global: &|r| r,
+            local: &|| residue.clone(),
+        };
+        next.reask_grown(db, base.snapshot(), &grown, &pin, &view)
+    }
+
+    /// The retired re-ask: every template reaching a grown table, over
+    /// the whole residue.
+    fn full_reask(
+        base: &Engine,
+        db: &Database,
+        queries: &[ChainQuery],
+        residue: &RowSet,
+    ) -> RowSet {
+        let mut next = base.fork();
+        let grown = next.refresh(db).unwrap().delta.grown;
+        let reach: Vec<ChainQuery> = queries
+            .iter()
+            .filter(|q| q.steps.iter().any(|s| grown.contains(&s.table)))
+            .cloned()
+            .collect();
+        RowSet::union_all(
+            next.eval_suite_rows(db, &reach, EvalOptions::default(), residue)
+                .into_iter()
+                .map(|r| r.unwrap()),
+        )
+    }
+
+    #[test]
+    fn null_join_values_never_become_candidates() {
+        let (mut db, log, appt, _) = figure3_db();
+        let base = Engine::new(&db);
+        let q = template_a(log, appt);
+        db.insert(appt, vec![Value::Int(11), Value::Date(3), Value::Null])
+            .unwrap();
+        db.insert(appt, vec![Value::Null, Value::Date(3), Value::Int(1)])
+            .unwrap();
+        assert!(candidates(&base, &db, &q).is_empty());
+        // The same link without NULLs reaches patient 11's access.
+        db.insert(appt, vec![Value::Int(11), Value::Date(3), Value::Int(1)])
+            .unwrap();
+        assert_eq!(candidates(&base, &db, &q), vec![1]);
+    }
+
+    #[test]
+    fn constant_filters_prune_the_walk() {
+        let (mut db, log, appt, info) = figure3_db();
+        let base = Engine::new(&db);
+        let on_day_9 = StepFilter {
+            col: 1,
+            op: CmpOp::Eq,
+            rhs: Rhs::Const(Value::Date(9)),
+        };
+        // On the grown step itself: the appended row fails the filter.
+        let mut direct = template_a(log, appt);
+        direct.steps[0].filters.push(on_day_9);
+        let mut grown_db = db.clone();
+        grown_db
+            .insert(appt, vec![Value::Int(11), Value::Date(3), Value::Int(1)])
+            .unwrap();
+        assert!(candidates(&base, &grown_db, &direct).is_empty());
+        assert_eq!(
+            candidates(&base, &grown_db, &template_a(log, appt)),
+            vec![1]
+        );
+        // On an earlier step: doctor 1 joins a second department, which
+        // reaches patient 10's access back through the appointment —
+        // unless the hop through Appointments wants a row dated 9.
+        let mut via = template_b(log, appt, info);
+        via.steps[0].filters.push(on_day_9);
+        let surgery = db.str_value("Surgery");
+        db.insert(info, vec![Value::Int(1), surgery]).unwrap();
+        assert!(candidates(&base, &db, &via).is_empty());
+        assert_eq!(
+            candidates(&base, &db, &template_b(log, appt, info)),
+            vec![0]
+        );
+    }
+
+    #[test]
+    fn anchor_dependent_filters_over_approximate_then_recheck() {
+        let (db, log, appt, _) = figure3_db();
+        let base = Engine::new(&db);
+        // Appointment no later than the access (log row 1 is dated 2).
+        let mut q = template_a(log, appt);
+        q.steps[0].filters.push(StepFilter {
+            col: 1,
+            op: CmpOp::Le,
+            rhs: Rhs::AnchorCol(1),
+        });
+        let residue = RowSet::from_sorted_vec(&[1]);
+        for (day, explains) in [(7, false), (2, true)] {
+            let mut db = db.clone();
+            db.insert(appt, vec![Value::Int(11), Value::Date(day), Value::Int(1)])
+                .unwrap();
+            // The walk cannot see the anchor's date: row 1 is a candidate
+            // either way...
+            assert_eq!(candidates(&base, &db, &q), vec![1]);
+            // ...and the forward re-check decides.
+            let got = reask(&base, &db, std::slice::from_ref(&q), &residue);
+            assert_eq!(got.contains(1), explains, "appointment on day {day}");
+            assert_eq!(
+                got,
+                full_reask(&base, &db, std::slice::from_ref(&q), &residue)
+            );
+        }
+    }
+
+    /// A log of `n` patients (`1000 + p`) with three accesses each, on
+    /// dates 10..=12 by three distinct users (`100 + (p + k) % 5`), and
+    /// the repeat-access template over it.
+    fn clinic(n: i64) -> (Database, TableId, TableId, ChainQuery) {
+        let (mut db, log, appt, _) = figure3_db();
+        let mut lid = 100;
+        for p in 0..n {
+            for k in 0..3 {
+                lid += 1;
+                db.insert(
+                    log,
+                    vec![
+                        Value::Int(lid),
+                        Value::Date(10 + k),
+                        Value::Int(100 + (p + k) % 5),
+                        Value::Int(1000 + p),
+                    ],
+                )
+                .unwrap();
+            }
+        }
+        let mut step = ChainStep::new(log, 3, 2);
+        step.filters.push(StepFilter {
+            col: 1,
+            op: CmpOp::Lt,
+            rhs: Rhs::AnchorCol(1),
+        });
+        let repeat = ChainQuery {
+            log,
+            lid_col: 0,
+            start_col: 3,
+            steps: vec![step],
+            close_col: Some(2),
+            anchor_filters: vec![],
+        };
+        (db, log, appt, repeat)
+    }
+
+    /// Appends one earlier access (date 5) per `(patient, user)`.
+    fn earlier_accesses(db: &mut Database, log: TableId, pairs: &[(i64, i64)]) {
+        for (i, &(p, u)) in pairs.iter().enumerate() {
+            let row = vec![
+                Value::Int(9000 + i as i64),
+                Value::Date(5),
+                Value::Int(u),
+                Value::Int(p),
+            ];
+            db.insert(log, row).unwrap();
+        }
+    }
+
+    #[test]
+    fn candidates_come_only_from_the_batch_patients() {
+        let (mut db, log, _, repeat) = clinic(40);
+        let base = Engine::new(&db);
+        let pairs = [(1002, 103), (1005, 101), (1007, 102), (1005, 103)];
+        earlier_accesses(&mut db, log, &pairs);
+        let got = candidates(&base, &db, &repeat);
+        // Drawn only from the 3 batch patients' rows (of 40 patients)...
+        let table = db.table(log);
+        let patient = |r: RowId| table.row(r)[3];
+        assert!(got
+            .iter()
+            .all(|&r| pairs.iter().any(|&(p, _)| patient(r) == Value::Int(p))));
+        // ...and, the template having one step, exactly the rows (old and
+        // appended) of the batch's `(patient, user)` pairs: the 3 old
+        // accesses those users made to those patients, plus the 4 new.
+        let expected: Vec<RowId> = (0..table.len() as RowId)
+            .filter(|&r| {
+                let row = table.row(r);
+                pairs
+                    .iter()
+                    .any(|&(p, u)| row[3] == Value::Int(p) && row[2] == Value::Int(u))
+            })
+            .collect();
+        assert_eq!(got, expected);
+        assert_eq!(got.len(), 7);
+    }
+
+    #[test]
+    fn past_the_cap_the_fallback_reasks_the_whole_residue() {
+        let (mut db, log, appt, repeat) = clinic(40);
+        let base = Engine::new(&db);
+        let queries = vec![repeat.clone(), template_a(log, appt)];
+        let explained = RowSet::union_all(
+            base.eval_suite(&db, &queries, EvalOptions::default())
+                .into_iter()
+                .map(|r| r.unwrap()),
+        );
+        let all = RowSet::from_sorted_vec(&(0..db.table(log).len() as u32).collect::<Vec<_>>());
+        let residue = all.difference(&explained);
+        earlier_accesses(&mut db, log, &[(1002, 103), (1005, 101), (1005, 103)]);
+        db.insert(
+            appt,
+            vec![Value::Int(1009), Value::Date(1), Value::Int(100)],
+        )
+        .unwrap();
+        // Under the cap: the walk, byte-identical to the full re-ask, and
+        // it does newly explain old rows.
+        let walked = reask(&base, &db, &queries, &residue);
+        assert_eq!(
+            walked.to_vec(),
+            full_reask(&base, &db, &queries, &residue).to_vec()
+        );
+        assert!(walked.len() >= 3);
+        // A one-row residue caps the walk at one touched row: both
+        // templates fall back, still byte-identical.
+        let one = RowSet::from_sorted_vec(&[walked.iter().next().unwrap()]);
+        let mut next = base.fork();
+        let grown = next.refresh(&db).unwrap().delta.grown;
+        assert!(next
+            .delta_candidates(base.snapshot(), &repeat, &grown, 1)
+            .is_none());
+        let fell_back = reask(&base, &db, &queries, &one);
+        assert_eq!(
+            fell_back.to_vec(),
+            full_reask(&base, &db, &queries, &one).to_vec()
+        );
+        assert_eq!(fell_back, one);
     }
 }

@@ -44,7 +44,7 @@
 
 use super::parallel::par_map;
 use super::shared::{compute_maintained, Epoch, Maintained, SuitePin};
-use super::{Engine, RefreshError, RefreshStats};
+use super::{Engine, RefreshError, RefreshStats, Residue};
 use crate::chain::{ChainQuery, EvalOptions};
 use crate::database::{Database, TableId};
 use crate::error::Result;
@@ -53,7 +53,7 @@ use crate::rowset::RowSet;
 use crate::segment::SegVec;
 use crate::sync::unpoison;
 use crate::table::RowId;
-use crate::types::ColId;
+use crate::types::{ColId, DataType};
 use crate::value::Value;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, RwLock};
@@ -391,11 +391,9 @@ fn compute_maintained_sharded(
 /// Advances the global materialization across one sharded ingest: each
 /// shard computes its **local** delta — appended-range anchor scan,
 /// tail-range evaluation over the appended rows for every template, and
-/// a residue-restricted re-ask of the templates whose support grew in
-/// that shard, over the shard's slice of the previous global
-/// `unexplained` set (see [`Maintained`] for the monotonicity argument)
-/// — and the global-id deltas merge associatively into the previous
-/// sets.
+/// [`Engine::reask_grown`] against the previous global `unexplained`
+/// set (see [`Maintained`] for the monotonicity argument) — and the
+/// global-id deltas merge associatively into the previous sets.
 fn advance_maintained_sharded(
     prev_shards: &[ShardEpoch],
     shards: &[ShardEpoch],
@@ -409,7 +407,6 @@ fn advance_maintained_sharded(
         let shard = &shards[s];
         let engine = shard.engine();
         let db = shard.db();
-        let grown = &reports[s].refresh.delta.grown;
         let (l0, l1) = (prev_shards[s].log_len(), shard.log_len());
         let log = engine.snapshot().table(pin.log);
         let mut fresh: Vec<RowId> = Vec::new();
@@ -419,19 +416,7 @@ fn advance_maintained_sharded(
             }
         }
         let anchors = RowSet::from_sorted_vec(&fresh);
-        // Appended rows: one range evaluation over every template. Old
-        // rows: explanation is monotone under append-only growth, so
-        // templates stepping into a grown table re-ask only this shard's
-        // slice of the previous *unexplained residue* (global residue
-        // ids mapped back through the sorted global-id index).
-        let reaches_growth =
-            |q: &ChainQuery| -> bool { q.steps.iter().any(|st| grown.contains(&st.table)) };
-        let reask: Vec<ChainQuery> = pin
-            .queries
-            .iter()
-            .filter(|q| reaches_growth(q))
-            .cloned()
-            .collect();
+        // Appended rows: one range evaluation over every template.
         let mut explained = RowSet::new();
         if l1 > l0 {
             for set in engine
@@ -442,23 +427,24 @@ fn advance_maintained_sharded(
                 explained.union_with(&set);
             }
         }
-        if !reask.is_empty() {
-            let local: Vec<RowId> = prev
-                .unexplained
-                .iter()
-                .filter_map(|g| shard.find_global(g))
-                .collect();
-            if !local.is_empty() {
-                let residue = RowSet::from_sorted_vec(&local);
-                for set in engine
-                    .eval_suite_rows(db, &reask, pin.opts, &residue)
-                    .into_iter()
-                    .flatten()
-                {
-                    explained.union_with(&set);
-                }
-            }
-        }
+        // Old rows: the global residue seen through this shard's ids. The
+        // full re-ask fallback maps the residue back through the sorted
+        // global-id index; the candidate walk only maps its own rows.
+        let residue = Residue {
+            rows: &prev.unexplained,
+            to_global: &|r| shard.to_global(r),
+            local: &|| {
+                let local: Vec<RowId> = prev
+                    .unexplained
+                    .iter()
+                    .filter_map(|g| shard.find_global(g))
+                    .collect();
+                RowSet::from_sorted_vec(&local)
+            },
+        };
+        let base = prev_shards[s].engine().snapshot();
+        let grown = &reports[s].refresh.delta.grown;
+        explained.union_with(&engine.reask_grown(db, base, grown, pin, &residue));
         (
             to_global_set(shard, &anchors),
             to_global_set(shard, &explained),
@@ -578,6 +564,17 @@ impl ShardedBatch {
         self.maps[shard].push(global);
         self.global_len += 1;
         Ok(global)
+    }
+
+    /// Creates a dimension table in every shard (all shards share one
+    /// schema, so the id is the same everywhere).
+    pub fn create_table(&mut self, name: &str, columns: &[(&str, DataType)]) -> Result<TableId> {
+        let id = self.dbs[0].create_table(name, columns)?;
+        for db in &mut self.dbs[1..] {
+            let other = db.create_table(name, columns)?;
+            assert_eq!(other, id, "shard schemas drifted out of alignment");
+        }
+        Ok(id)
     }
 
     /// Inserts one dimension row, replicated into every shard.

@@ -75,8 +75,12 @@
 //! scanned; caches over un-grown tables stay warm across epochs, and
 //! log partitions / row maps extend chunk-wise), so batch your appends:
 //! one `ingest` per arriving batch, not per row.
+//!
+//! Advancing a pinned suite's [`Maintained`] partition costs
+//! O(delta × backward fan-out), capped by the unexplained residue — not
+//! O(delta) alone; see [`Maintained`] for what the fan-out is.
 
-use super::{Engine, RefreshError, RefreshStats};
+use super::{Engine, InternedDb, RefreshError, RefreshStats, Residue};
 use crate::chain::{ChainQuery, CmpOp, EvalOptions};
 use crate::database::{Database, TableId};
 use crate::rowset::RowSet;
@@ -121,11 +125,19 @@ pub struct SuitePin {
 /// retracting. Every template can newly explain the appended log rows
 /// (one [`Engine::eval_suite_range`] over the tail covers them all); a
 /// template whose support tables grew can additionally newly explain
-/// *old* anchor rows, but any such row was by definition still
-/// unexplained, so re-asking just those templates over the previous
-/// `unexplained` residue ([`Engine::eval_suite_rows`]) recovers exactly
-/// the missing explanations. The advance is O(delta + residue), never
-/// O(log).
+/// *old* anchor rows. Any such row was by definition still unexplained,
+/// and only a chain through at least one appended tuple can explain it
+/// now. So walking back from the appended tuples to the residue rows
+/// they reach, and re-checking just those (`Engine::reask_grown`),
+/// recovers exactly the missing explanations.
+///
+/// The advance costs O(delta × backward fan-out): the appended rows times
+/// the rows each reaches on its way back to the log. For the
+/// repeat-access template that is the batch patients' access histories.
+/// A template whose walk would touch more rows than the residue holds is
+/// re-asked over the whole residue instead, so the cost is capped by
+/// O(delta + residue). Neither bound is independent of the log: histories
+/// and the residue both grow with it, only far slower than the log.
 #[derive(Debug, Clone, Default)]
 pub struct Maintained {
     /// Log rows matching the pin's anchor filters.
@@ -167,14 +179,14 @@ pub(super) fn compute_maintained(engine: &Engine, db: &Database, pin: &SuitePin)
     }
 }
 
-/// Advances `prev` across one incremental refresh whose grown tables are
-/// `grown`: O(delta) anchor scan over the appended log rows, tail-range
-/// evaluation of every template over the appended rows, and a
-/// residue-restricted re-ask (unioned in — see [`Maintained`] for why
-/// that is enough) of the templates whose support grew, over the
-/// previous `unexplained` set only.
+/// Advances `prev` across one incremental refresh of `engine` from the
+/// snapshot `base`, whose grown tables are `grown`: an anchor scan and a
+/// tail-range evaluation of every template over the appended log rows,
+/// plus [`Engine::reask_grown`] for the old rows still in the residue
+/// (unioned in — see [`Maintained`] for why that is enough).
 pub(super) fn advance_maintained(
     engine: &Engine,
+    base: &InternedDb,
     db: &Database,
     pin: &SuitePin,
     prev: &Maintained,
@@ -191,20 +203,7 @@ pub(super) fn advance_maintained(
     }
     anchors.union_with(&RowSet::from_sorted_vec(&fresh));
     // Every template can explain the appended rows `[l0, l1)` — one
-    // range evaluation covers them all. A template stepping into a
-    // grown table (the log itself included — self-join templates step
-    // back into it) can additionally newly explain *old* anchor rows;
-    // explanation is monotone under append-only growth, so only the
-    // previous *unexplained residue* needs re-asking, not the whole
-    // log — that is what keeps the advance O(delta + residue).
-    let reaches_growth =
-        |q: &ChainQuery| -> bool { q.steps.iter().any(|s| grown.contains(&s.table)) };
-    let reask: Vec<ChainQuery> = pin
-        .queries
-        .iter()
-        .filter(|q| reaches_growth(q))
-        .cloned()
-        .collect();
+    // range evaluation covers them all.
     let mut explained = prev.explained.clone();
     if l1 > l0 {
         for set in engine
@@ -215,15 +214,12 @@ pub(super) fn advance_maintained(
             explained.union_with(&set);
         }
     }
-    if !reask.is_empty() && !prev.unexplained.is_empty() {
-        for set in engine
-            .eval_suite_rows(db, &reask, pin.opts, &prev.unexplained)
-            .into_iter()
-            .flatten()
-        {
-            explained.union_with(&set);
-        }
-    }
+    let residue = Residue {
+        rows: &prev.unexplained,
+        to_global: &|r| r,
+        local: &|| prev.unexplained.clone(),
+    };
+    explained.union_with(&engine.reask_grown(db, base, grown, pin, &residue));
     let unexplained = anchors.difference(&explained);
     Maintained {
         anchors,
@@ -461,8 +457,8 @@ impl SharedEngine {
             refresh,
             rebuilt,
         };
-        // Advance every pinned suite's materialization: O(delta) on the
-        // incremental path, cold recompute when the engine was rebuilt
+        // Advance every pinned suite's materialization: delta-anchored on
+        // the incremental path, cold recompute when the engine was rebuilt
         // (or the pin was registered against a newer epoch than `base`).
         let pins = unpoison(self.pins.lock()).clone();
         let maintained: Vec<Arc<Maintained>> = pins
@@ -471,6 +467,7 @@ impl SharedEngine {
             .map(|(i, pin)| match base.maintained.get(i) {
                 Some(prev) if report.rebuilt.is_none() => Arc::new(advance_maintained(
                     &engine,
+                    base.engine.snapshot(),
                     &db,
                     pin,
                     prev,
