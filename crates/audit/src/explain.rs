@@ -6,8 +6,8 @@
 
 use eba_core::{ExplanationTemplate, LogSpec};
 use eba_relational::{
-    ChainQuery, Database, Engine, Epoch, EpochVec, EvalOptions, PreparedChain, Result, RowId,
-    RowSet, SuitePin,
+    ChainQuery, Database, Engine, EpochVec, EvalOptions, PreparedChain, Result, RowId, RowSet,
+    SuitePin,
 };
 use std::collections::HashSet;
 
@@ -88,9 +88,8 @@ impl Explainer {
     }
 
     /// The suite as a [`SuitePin`], ready to hand to
-    /// [`eba_relational::SharedEngine::pin_suite`] or
     /// [`eba_relational::ShardedEngine::pin_suite`]: once pinned, every
-    /// published epoch carries the materialized explained/unexplained
+    /// published epoch vector carries the materialized explained/unexplained
     /// partition, maintained incrementally per ingest and byte-identical
     /// to what [`Explainer::unexplained_rows_with`] recomputes cold.
     pub fn suite_pin(&self, spec: &LogSpec) -> SuitePin {
@@ -144,20 +143,10 @@ impl Explainer {
             .expect("templates lower to valid queries")
     }
 
-    /// [`Explainer::explained_rows`] against a pinned [`Epoch`]: the
-    /// session form — every question asked of the same epoch sees one
-    /// consistent log state while ingests publish new epochs behind it.
-    pub fn explained_rows_at(&self, spec: &LogSpec, epoch: &Epoch) -> HashSet<RowId> {
-        self.explained_rows_with(epoch.db(), spec, epoch.engine())
-    }
-
-    /// [`Explainer::explained_rowset_with`] against a pinned [`Epoch`].
-    pub fn explained_rowset_at(&self, spec: &LogSpec, epoch: &Epoch) -> RowSet {
-        self.explained_rowset_with(epoch.db(), spec, epoch.engine())
-    }
-
     /// [`Explainer::explained_rows`] against a pinned **epoch vector** —
-    /// the sharded session form. Each shard evaluates the whole suite
+    /// the session form: every question asked of the same vector sees one
+    /// consistent log state while ingests publish new vectors behind it.
+    /// Each shard evaluates the whole suite
     /// against its warm engine in parallel; the unions merge into
     /// **global** row ids, identical to what [`Explainer::explained_rows`]
     /// returns on the unsharded database.
@@ -207,11 +196,6 @@ impl Explainer {
     ) -> RowSet {
         let anchors = RowSet::from_sorted_vec(&crate::metrics::anchor_rows(db, spec));
         anchors.difference(&self.explained_rowset_with(db, spec, engine))
-    }
-
-    /// [`Explainer::unexplained_rows`] against a pinned [`Epoch`].
-    pub fn unexplained_rows_at(&self, spec: &LogSpec, epoch: &Epoch) -> Vec<RowId> {
-        self.unexplained_rows_with(epoch.db(), spec, epoch.engine())
     }
 
     /// [`Explainer::unexplained_rows`] against a pinned epoch vector:
@@ -375,51 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_suite_maintains_the_cold_partition() {
-        // A pinned suite's maintained sets must match the cold recompute
-        // on every published epoch — including after ingests that extend
-        // the log (tail delta) and the dimension tables (full re-eval of
-        // the templates whose support grew).
-        let (h, spec, explainer) = setup();
-        let shared = eba_relational::SharedEngine::new(h.db.clone());
-        let pin_id = shared.pin_suite(explainer.suite_pin(&spec));
-
-        let check = |label: &str| {
-            let epoch = shared.load();
-            let m = epoch.maintained(pin_id).expect("pinned");
-            assert_eq!(
-                m.unexplained.to_vec(),
-                explainer.unexplained_rows_at(&spec, &epoch),
-                "{label}: unexplained"
-            );
-            assert_eq!(
-                m.explained,
-                explainer.explained_rowset_at(&spec, &epoch),
-                "{label}: explained"
-            );
-            assert_eq!(m.log_len, epoch.db().table(spec.table).len());
-        };
-        check("cold pin");
-
-        let arity = h.db.table(h.t_log).schema().arity();
-        let cols = h.log_cols;
-        for round in 0..3 {
-            let (_, report) = shared.ingest(|db| {
-                let mut row = vec![eba_relational::Value::Null; arity];
-                row[cols.lid] = eba_relational::Value::Int(3_000_000 + round);
-                row[cols.date] = eba_relational::Value::Date(0);
-                row[cols.user] = eba_relational::Value::Int(1 + round);
-                row[cols.patient] = eba_relational::Value::Int(1);
-                row[cols.day] = eba_relational::Value::Int(1);
-                row[cols.is_first] = eba_relational::Value::Int(0);
-                db.insert(h.t_log, row).unwrap();
-            });
-            assert!(report.fallback_warning().is_none());
-            check("after ingest");
-        }
-    }
-
-    #[test]
     fn sharded_pinned_suite_maintains_the_cold_partition() {
         let (h, spec, explainer) = setup();
         let key = eba_relational::ShardKey {
@@ -437,25 +376,33 @@ mod tests {
                     explainer.unexplained_rows_at_shards(&spec, &shards),
                     "{label} ({n} shards): unexplained"
                 );
+                assert_eq!(
+                    m.explained,
+                    explainer.explained_rowset_at_shards(&spec, &shards),
+                    "{label} ({n} shards): explained"
+                );
+                assert_eq!(m.log_len, shards.global_log_len());
             };
             check("cold pin");
 
             let arity = h.db.table(h.t_log).schema().arity();
             let cols = h.log_cols;
-            let (_, report) = sharded.ingest(|batch| {
-                for i in 0..4i64 {
-                    let mut row = vec![eba_relational::Value::Null; arity];
-                    row[cols.lid] = eba_relational::Value::Int(4_000_000 + i);
-                    row[cols.date] = eba_relational::Value::Date(0);
-                    row[cols.user] = eba_relational::Value::Int(1 + i);
-                    row[cols.patient] = eba_relational::Value::Int(1 + i);
-                    row[cols.day] = eba_relational::Value::Int(1);
-                    row[cols.is_first] = eba_relational::Value::Int(0);
-                    batch.insert_log(row).unwrap();
-                }
-            });
-            assert!(report.fallback_warnings().is_empty());
-            check("after ingest");
+            for round in 0..3 {
+                let (_, report) = sharded.ingest(|batch| {
+                    for i in 0..4i64 {
+                        let mut row = vec![eba_relational::Value::Null; arity];
+                        row[cols.lid] = eba_relational::Value::Int(4_000_000 + 4 * round + i);
+                        row[cols.date] = eba_relational::Value::Date(0);
+                        row[cols.user] = eba_relational::Value::Int(1 + round + i);
+                        row[cols.patient] = eba_relational::Value::Int(1 + i);
+                        row[cols.day] = eba_relational::Value::Int(1);
+                        row[cols.is_first] = eba_relational::Value::Int(0);
+                        batch.insert_log(row).unwrap();
+                    }
+                });
+                assert!(report.fallback_warnings().is_empty());
+                check("after ingest");
+            }
         }
     }
 

@@ -8,7 +8,7 @@
 //! 'look' real.) We then combined the real and fake logs, and evaluated
 //! the explanation templates on the combined log."
 
-use eba_relational::{Database, RowId, Value};
+use eba_relational::{Database, RowId, ShardedBatch, Value};
 use eba_synth::LogColumns;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -83,20 +83,57 @@ impl FakeLog {
         seed: u64,
         next_lid: i64,
     ) -> FakeLog {
-        assert!(!user_pool.is_empty() && !patient_pool.is_empty());
-        let mut rng = StdRng::seed_from_u64(seed);
         let first_row = db.table(log).len() as RowId;
         let action = db.str_value("view");
+        let rows = Self::access_rows(user_pool, patient_pool, count, days, seed, next_lid, action);
+        for row in rows {
+            db.insert(log, row)
+                .expect("fake row matches the log schema");
+        }
+        FakeLog { first_row, count }
+    }
+
+    /// Stages the accesses [`FakeLog::inject_at`] would append through a
+    /// sharded ingest batch, which interns strings into every shard.
+    pub fn stage(
+        batch: &mut ShardedBatch,
+        user_pool: &[Value],
+        patient_pool: &[Value],
+        count: usize,
+        days: u32,
+        seed: u64,
+        next_lid: i64,
+    ) {
+        let action = batch.str_value("view");
+        for row in Self::access_rows(user_pool, patient_pool, count, days, seed, next_lid, action) {
+            batch
+                .insert_log(row)
+                .expect("fake row matches the log schema");
+        }
+    }
+
+    /// The log rows [`FakeLog::inject_at`] appends, given the interned
+    /// `action` value (`"view"`).
+    fn access_rows(
+        user_pool: &[Value],
+        patient_pool: &[Value],
+        count: usize,
+        days: u32,
+        seed: u64,
+        next_lid: i64,
+        action: Value,
+    ) -> Vec<Vec<Value>> {
+        assert!(!user_pool.is_empty() && !patient_pool.is_empty());
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut seen: HashSet<(Value, Value)> = HashSet::with_capacity(count);
-        for i in 0..count {
-            let user = user_pool[rng.gen_range(0..user_pool.len())];
-            let patient = patient_pool[rng.gen_range(0..patient_pool.len())];
-            let day = rng.gen_range(1..=days.max(1));
-            let minute = rng.gen_range(0..24 * 60);
-            let is_first = seen.insert((user, patient));
-            let ts = i64::from(day) * 24 * 60 + i64::from(minute);
-            db.insert(
-                log,
+        (0..count)
+            .map(|i| {
+                let user = user_pool[rng.gen_range(0..user_pool.len())];
+                let patient = patient_pool[rng.gen_range(0..patient_pool.len())];
+                let day = rng.gen_range(1..=days.max(1));
+                let minute = rng.gen_range(0..24 * 60);
+                let is_first = seen.insert((user, patient));
+                let ts = i64::from(day) * 24 * 60 + i64::from(minute);
                 vec![
                     Value::Int(next_lid + i as i64),
                     Value::Date(ts),
@@ -105,11 +142,9 @@ impl FakeLog {
                     action,
                     Value::Int(i64::from(day)),
                     Value::Int(i64::from(is_first)),
-                ],
-            )
-            .expect("fake row matches the log schema");
-        }
-        FakeLog { first_row, count }
+                ]
+            })
+            .collect()
     }
 
     /// Whether a row id denotes an injected fake access.

@@ -27,12 +27,12 @@
 //! * [`split`] — train/test anchor filters over days and first accesses.
 //!
 //! Every view comes in three forms: a one-off per-query form, a `*_with`
-//! form over a warm [`eba_relational::Engine`], and a `*_at` form over a
-//! pinned [`eba_relational::Epoch`] from a
-//! [`eba_relational::SharedEngine`] — the session form a long-running
-//! service uses so its explanations, timeline, and triage queue all
-//! describe the same frozen log state while ingests publish new epochs
-//! behind it.
+//! form over a warm [`eba_relational::Engine`] beside its database, and
+//! an `*_at_shards` form over a pinned [`eba_relational::EpochVec`] from
+//! a [`eba_relational::ShardedEngine`] (one shard is the unsharded
+//! deployment) — the session form a long-running service uses so its
+//! explanations, timeline, and triage queue all describe the same frozen
+//! log state while ingests publish new epoch vectors behind it.
 
 pub mod explain;
 pub mod fake;

@@ -9,7 +9,7 @@
 use crate::fake::FakeLog;
 use eba_core::{ExplanationTemplate, LogSpec};
 use eba_relational::{
-    ChainQuery, Database, Engine, Epoch, EpochVec, EvalOptions, Maintained, RowId, RowSet,
+    ChainQuery, Database, Engine, EpochVec, EvalOptions, Maintained, RowId, RowSet,
 };
 use std::collections::HashSet;
 
@@ -202,16 +202,6 @@ pub fn evaluate(
     )
 }
 
-/// [`explained_union`] against a pinned [`Epoch`] (the session form of
-/// [`explained_union_with`]).
-pub fn explained_union_at(
-    spec: &LogSpec,
-    templates: &[&ExplanationTemplate],
-    epoch: &Epoch,
-) -> HashSet<RowId> {
-    explained_union_with(epoch.db(), spec, templates, epoch.engine())
-}
-
 /// [`explained_union`] against a pinned **epoch vector**: shards evaluate
 /// the template set in parallel and the unions merge into global row ids.
 pub fn explained_union_at_shards(
@@ -278,26 +268,6 @@ pub fn evaluate_with(
     )
 }
 
-/// [`evaluate`] against a pinned [`Epoch`] — anchors and explained sets
-/// are both read from the epoch's frozen database, so the confusion counts
-/// cannot straddle an ingest.
-pub fn evaluate_at(
-    spec: &LogSpec,
-    templates: &[&ExplanationTemplate],
-    fake: Option<&FakeLog>,
-    with_events: Option<&HashSet<RowId>>,
-    epoch: &Epoch,
-) -> Confusion {
-    evaluate_with(
-        epoch.db(),
-        spec,
-        templates,
-        fake,
-        with_events,
-        epoch.engine(),
-    )
-}
-
 /// [`Confusion`] read off a pinned suite's [`Maintained`] partition — the
 /// O(delta)-maintained form of [`evaluate`] with no fake log and no event
 /// predicate (the live-service configuration: every anchor row is real).
@@ -315,7 +285,9 @@ pub fn confusion_from_maintained(m: &Maintained) -> Confusion {
     }
 }
 
-/// [`evaluate`] against a pinned epoch vector. `fake` and `with_events`
+/// [`evaluate`] against a pinned epoch vector — anchors and explained
+/// sets are both read from the vector's frozen databases, so the
+/// confusion counts cannot straddle an ingest. `fake` and `with_events`
 /// speak global row ids (they were built against the unsharded log), and
 /// so do the anchors and explained sets gathered here — the confusion
 /// counts are identical to [`evaluate`] on the oracle database.
@@ -435,10 +407,14 @@ mod tests {
         let spec = eba_core::LogSpec::conventional(&h.db).unwrap();
         let t = HandcraftedTemplates::build(&h.db, &spec).unwrap();
         let explainer = crate::explain::Explainer::new(t.all().into_iter().cloned().collect());
-        let shared = eba_relational::SharedEngine::new(h.db.clone());
-        let pin_id = shared.pin_suite(explainer.suite_pin(&spec));
-        let epoch = shared.load();
-        let m = epoch.maintained(pin_id).expect("pinned");
+        let key = eba_relational::ShardKey {
+            table: spec.table,
+            col: spec.patient_col,
+        };
+        let sharded = eba_relational::ShardedEngine::new(h.db.clone(), key, 1);
+        let pin_id = sharded.pin_suite(explainer.suite_pin(&spec));
+        let epochs = sharded.load();
+        let m = epochs.maintained(pin_id).expect("pinned");
         let suite: Vec<&ExplanationTemplate> = explainer.templates().iter().collect();
         assert_eq!(
             confusion_from_maintained(m),

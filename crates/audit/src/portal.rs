@@ -8,7 +8,7 @@
 
 use crate::explain::{Explainer, RankedExplanation};
 use eba_core::LogSpec;
-use eba_relational::{Database, Engine, Epoch, EpochVec, Result, RowId, Value};
+use eba_relational::{Database, Engine, EpochVec, Result, RowId, Value};
 use eba_synth::LogColumns;
 use std::collections::{HashMap, HashSet};
 
@@ -107,18 +107,9 @@ pub fn misuse_summary_with(
     summarize_unexplained(db, spec, explainer.unexplained_rows_with(db, spec, engine))
 }
 
-/// [`misuse_summary`] against a pinned [`Epoch`]: the triage queue the
-/// compliance session sees is computed from the same frozen log as its
-/// timeline and unexplained list.
-pub fn misuse_summary_at(
-    spec: &LogSpec,
-    explainer: &Explainer,
-    epoch: &Epoch,
-) -> Vec<SuspectSummary> {
-    misuse_summary_with(epoch.db(), spec, explainer, epoch.engine())
-}
-
-/// [`misuse_summary`] against a pinned **epoch vector**. Per-shard
+/// [`misuse_summary`] against a pinned **epoch vector**: the triage queue
+/// the compliance session sees is computed from the same frozen log as
+/// its timeline and unexplained list. Per-shard
 /// `user → (count, patients)` maps merge by summing counts and unioning
 /// patient sets (a user's accesses — and even one patient's accesses, if
 /// the spec's patient column is not the partition key — may straddle
@@ -132,7 +123,7 @@ pub fn misuse_summary_at_shards(
         per_user_unexplained(
             shard.db(),
             spec,
-            explainer.unexplained_rows_at(spec, shard.epoch()),
+            explainer.unexplained_rows_with(shard.db(), spec, shard.engine()),
         )
     });
     let mut merged: HashMap<Value, (usize, HashSet<Value>)> = HashMap::new();

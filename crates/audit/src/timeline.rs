@@ -8,7 +8,7 @@
 use crate::explain::Explainer;
 use crate::split;
 use eba_core::LogSpec;
-use eba_relational::{Database, Engine, Epoch, EpochVec, RowSet};
+use eba_relational::{Database, Engine, EpochVec, RowSet};
 use eba_synth::LogColumns;
 
 /// One day's explanation statistics.
@@ -111,21 +111,10 @@ pub fn daily_stats_with(
     DayBuckets::build(db, spec, cols, days).timeline(&explained)
 }
 
-/// [`daily_stats`] against a pinned [`Epoch`]: the dashboard session's
-/// view, consistent with every other question asked of the same epoch
-/// while the log keeps ingesting behind it.
-pub fn daily_stats_at(
-    spec: &LogSpec,
-    cols: &LogColumns,
-    explainer: &Explainer,
-    days: u32,
-    epoch: &Epoch,
-) -> Timeline {
-    daily_stats_with(epoch.db(), spec, cols, explainer, days, epoch.engine())
-}
-
-/// [`daily_stats`] against a pinned **epoch vector**: each shard buckets
-/// its own slice of the log in parallel and the day buckets sum — every
+/// [`daily_stats`] against a pinned **epoch vector**: the dashboard
+/// session's view, consistent with every other question asked of the
+/// same vector while the log keeps ingesting behind it. Each shard
+/// buckets its own slice of the log in parallel and the day buckets sum — every
 /// [`DayStats`] field is a count over disjoint row sets, so the merge is
 /// exact, overflow bucket included.
 pub fn daily_stats_at_shards(
@@ -135,8 +124,9 @@ pub fn daily_stats_at_shards(
     days: u32,
     shards: &EpochVec,
 ) -> Timeline {
-    let per_shard = shards
-        .par_map_shards(|_, shard| daily_stats_at(spec, cols, explainer, days, shard.epoch()));
+    let per_shard = shards.par_map_shards(|_, shard| {
+        daily_stats_with(shard.db(), spec, cols, explainer, days, shard.engine())
+    });
     let mut merged = Timeline {
         days: (1..=days).map(DayStats::empty).collect(),
         overflow: DayStats::empty(DayStats::OVERFLOW_DAY),
@@ -339,33 +329,27 @@ mod tests {
     }
 
     #[test]
-    fn epoch_pinned_timeline_matches_per_query() {
-        let (h, spec, explainer) = setup();
-        let shared = eba_relational::SharedEngine::new(h.db.clone());
-        let epoch = shared.load();
-        assert_eq!(
-            daily_stats_at(&spec, &h.log_cols, &explainer, h.config.days, &epoch),
-            daily_stats(&h.db, &spec, &h.log_cols, &explainer, h.config.days)
-        );
-    }
-
-    #[test]
     fn clock_skewed_ingest_surfaces_through_the_epoch_pinned_path() {
-        // The overflow bucket must be visible through `daily_stats_at`
-        // (the session form a live service uses), not just the direct
-        // call: skewed rows arrive via `SharedEngine::ingest`, and the
-        // re-pinned epoch's timeline carries them in the overflow bucket
-        // while the old pin stays byte-stable.
+        // The overflow bucket must be visible through
+        // `daily_stats_at_shards` (the session form a live service uses),
+        // not just the direct call: skewed rows arrive via
+        // `ShardedEngine::ingest`, and the re-pinned vector's timeline
+        // carries them in the overflow bucket while the old pin stays
+        // byte-stable.
         let (h, spec, explainer) = setup();
-        let shared = eba_relational::SharedEngine::new(h.db.clone());
-        let pinned = shared.load();
-        let before = daily_stats_at(&spec, &h.log_cols, &explainer, h.config.days, &pinned);
+        let key = eba_relational::ShardKey {
+            table: spec.table,
+            col: spec.patient_col,
+        };
+        let sharded = eba_relational::ShardedEngine::new(h.db.clone(), key, 1);
+        let pinned = sharded.load();
+        let before = daily_stats_at_shards(&spec, &h.log_cols, &explainer, h.config.days, &pinned);
         assert_eq!(before.dropped(), 0);
 
         let arity = h.db.table(h.t_log).schema().arity();
         let cols = h.log_cols;
         let days = h.config.days;
-        let (_, report) = shared.ingest(|db| {
+        let (_, report) = sharded.ingest(|batch| {
             for (i, day) in [
                 eba_relational::Value::Int(0),
                 eba_relational::Value::Int(days as i64 + 30),
@@ -381,18 +365,18 @@ mod tests {
                 row[cols.patient] = eba_relational::Value::Int(1);
                 row[cols.day] = day;
                 row[cols.is_first] = eba_relational::Value::Int(0);
-                db.insert(h.t_log, row).unwrap();
+                batch.insert_log(row).unwrap();
             }
         });
-        assert!(report.fallback_warning().is_none());
+        assert!(report.fallback_warnings().is_empty());
 
         // The old pin is untouched; the new epoch shows the skew.
         assert_eq!(
-            daily_stats_at(&spec, &h.log_cols, &explainer, days, &pinned),
+            daily_stats_at_shards(&spec, &h.log_cols, &explainer, days, &pinned),
             before
         );
-        let fresh = shared.load();
-        let after = daily_stats_at(&spec, &h.log_cols, &explainer, days, &fresh);
+        let fresh = sharded.load();
+        let after = daily_stats_at_shards(&spec, &h.log_cols, &explainer, days, &fresh);
         assert_eq!(after.dropped(), 3);
         assert_eq!(after.overflow.day, DayStats::OVERFLOW_DAY);
         assert_eq!(after.total(), before.total() + 3);
@@ -402,7 +386,7 @@ mod tests {
         // And the epoch-pinned view equals the direct call on the same db.
         assert_eq!(
             after,
-            daily_stats(fresh.db(), &spec, &h.log_cols, &explainer, days)
+            daily_stats(fresh.shards()[0].db(), &spec, &h.log_cols, &explainer, days)
         );
     }
 

@@ -28,9 +28,9 @@
 //!   ingest+refresh cycle is in flight. Baseline is the coarse-locked
 //!   service `&mut Engine` forces (one mutex over the database and
 //!   engine — the reader waits out the whole ingest+refresh and every
-//!   other reader); the engine side is [`SharedEngine`]'s epoch handoff,
-//!   where readers answer from a pinned immutable epoch and are never
-//!   blocked. The recorded statistic is the per-cycle worst reader
+//!   other reader); the engine side is the epoch handoff of a one-shard
+//!   [`ShardedEngine`], where readers answer from a pinned immutable
+//!   epoch vector and are never blocked. The recorded statistic is the per-cycle worst reader
 //!   latency (median over cycles) — the tail a service's SLO is made of.
 //! * **served handoff** (`server/reader_during_ingest*`): the same
 //!   reader-vs-ingesting-writer duel, but the engine side runs against a
@@ -54,8 +54,8 @@ use eba_bench::{bench_config, scale_config};
 use eba_core::LogSpec;
 use eba_experiments::Scenario;
 use eba_relational::{
-    ChainQuery, CmpOp, Database, Engine, EvalOptions, Rhs, RowId, RowSet, SharedEngine, StepFilter,
-    Value,
+    ChainQuery, CmpOp, Database, Engine, EvalOptions, Rhs, RowId, RowSet, ShardKey, ShardedEngine,
+    StepFilter, Value,
 };
 use eba_synth::LogColumns;
 use std::sync::Mutex;
@@ -143,6 +143,11 @@ fn main() {
     // One warm engine for the whole session (the scenario's own engine is
     // left untouched so the workloads control their cache state).
     let engine = Engine::new(db);
+    // The log partitioning of every publication cell below.
+    let key = ShardKey {
+        table: spec.table,
+        col: spec.patient_col,
+    };
 
     // Differential guard: every engine-backed view must equal the
     // per-query view before we time anything.
@@ -354,14 +359,7 @@ fn main() {
     // asserts the merged global explained set equals the single-engine
     // set before anything is timed.
     for &n_shards in &shard_counts {
-        let sharded = eba_relational::ShardedEngine::new(
-            db.clone(),
-            eba_relational::ShardKey {
-                table: spec.table,
-                col: spec.patient_col,
-            },
-            n_shards,
-        );
+        let sharded = ShardedEngine::new(db.clone(), key, n_shards);
         let vec = sharded.load();
         explainer.explained_rows_at_shards(spec, &vec); // warm per-shard caches
         assert_eq!(
@@ -470,30 +468,32 @@ fn main() {
     // database plus every interned `u32` cell of the engine snapshot is
     // copied, which is exactly the memcpy a flat `Database::clone` +
     // `Engine::fork` paid per ingest. The engine side runs the real
-    // thing: a full segmented `SharedEngine::ingest` (clone + fork +
-    // incremental refresh + publish), which shares all sealed segments
+    // thing: a full segmented one-shard `ShardedEngine::ingest` (clone +
+    // fork + incremental refresh + publish), which shares all sealed segments
     // and copies only tails — `O(batch)`. The `_large` variant re-runs
     // both sides after growing the database ~8x with the *same* batch
     // size: the flat copy grows with the database, the segmented
     // publication does not. The note records the copy-meter evidence.
     {
-        let shared = SharedEngine::new(db.clone());
-        explainer.explained_rows_at(spec, &shared.load()); // warm the caches
+        let shared = ShardedEngine::new(db.clone(), key, 1);
+        explainer.explained_rows_at_shards(spec, &shared.load()); // warm the caches
         let seed = std::cell::Cell::new(0xD0_0000u64);
-        let ingest_once = |shared: &SharedEngine| {
+        let ingest_once = |shared: &ShardedEngine| {
             seed.set(seed.get() + 1);
             let s = seed.get();
-            shared.ingest(|db_side| {
-                FakeLog::inject(db_side, t_log, cols, &users, &patients, append, days, s);
+            shared.ingest(|batch| {
+                let lid = FakeLog::next_lid(batch.db(0), t_log, cols);
+                FakeLog::stage(batch, &users, &patients, append, days, s, lid);
             });
         };
 
-        let publish_workload = |name: String, shared: &SharedEngine| -> Workload {
+        let publish_workload = |name: String, shared: &ShardedEngine| -> Workload {
             // Baseline: flat-storage publication copy of the current epoch.
             let mut sink_v: Vec<Value> = Vec::new();
             let mut sink_u: Vec<u32> = Vec::new();
             let baseline = eba_bench::harness::measure(samples, || {
-                let epoch = shared.load();
+                let epochs = shared.load();
+                let epoch = &epochs.shards()[0];
                 sink_v.clear();
                 sink_u.clear();
                 for tid in epoch.db().table_ids() {
@@ -512,7 +512,8 @@ fn main() {
             eba_relational::segment::reset_copied_bytes();
             ingest_once(shared);
             let seg_bytes = eba_relational::segment::copied_bytes();
-            let epoch = shared.load();
+            let epochs = shared.load();
+            let epoch = &epochs.shards()[0];
             let mut flat_bytes = 0u64;
             let mut log_rows = 0usize;
             for tid in epoch.db().table_ids() {
@@ -547,8 +548,8 @@ fn main() {
             &shared,
         ));
         // Grow the database ~8x (same batch size), then measure again.
-        let before = shared.load().db().table(t_log).len();
-        while shared.load().db().table(t_log).len() < before * 8 {
+        let before = shared.load().global_log_len();
+        while shared.load().global_log_len() < before * 8 {
             ingest_once(&shared);
         }
         workloads.push(publish_workload(
@@ -568,38 +569,37 @@ fn main() {
     // batch patients' histories. Differential guard first: the
     // maintained residue must equal the cold recompute byte for byte.
     {
-        let pinned = SharedEngine::new(db.clone());
+        let pinned = ShardedEngine::new(db.clone(), key, 1);
         let pin = pinned.pin_suite(explainer.suite_pin(spec));
-        let unpinned = SharedEngine::new(db.clone());
+        let unpinned = ShardedEngine::new(db.clone(), key, 1);
         let seed = std::cell::Cell::new(0x57_0000u64);
         // Each engine's next lid, tracked here so the timed ingests never
         // scan the log for it.
         let first_lid = FakeLog::next_lid(db, t_log, cols);
         let pinned_lid = std::cell::Cell::new(first_lid);
         let unpinned_lid = std::cell::Cell::new(first_lid);
-        let ingest_once = |engine: &SharedEngine, lid: &std::cell::Cell<i64>| {
+        let ingest_once = |engine: &ShardedEngine, lid: &std::cell::Cell<i64>| {
             seed.set(seed.get() + 1);
             let s = seed.get();
-            engine.ingest(|db_side| {
-                let l = lid.get();
-                FakeLog::inject_at(db_side, t_log, &users, &patients, append, days, s, l);
+            engine.ingest(|batch| {
+                FakeLog::stage(batch, &users, &patients, append, days, s, lid.get());
             });
             lid.set(lid.get() + append as i64);
         };
 
         let guard = |tag: &str| {
-            let epoch = pinned.load();
-            let m = epoch
+            let epochs = pinned.load();
+            let m = epochs
                 .maintained(pin)
                 .expect("pinned suite publishes its partition");
             assert_eq!(
                 m.unexplained.to_vec(),
-                explainer.unexplained_rows_at(spec, &epoch),
+                explainer.unexplained_rows_at_shards(spec, &epochs),
                 "maintained residue diverged from the cold recompute ({tag})"
             );
             assert_eq!(
                 m.log_len,
-                epoch.db().table(t_log).len(),
+                epochs.global_log_len(),
                 "maintained partition covers the whole log ({tag})"
             );
         };
@@ -612,18 +612,18 @@ fn main() {
                 samples,
                 || {
                     ingest_once(&unpinned, &unpinned_lid);
-                    let epoch = unpinned.load();
-                    std::hint::black_box(explainer.unexplained_rows_at(spec, &epoch).len());
+                    let epochs = unpinned.load();
+                    std::hint::black_box(explainer.unexplained_rows_at_shards(spec, &epochs).len());
                 },
                 || {
                     ingest_once(&pinned, &pinned_lid);
-                    let epoch = pinned.load();
-                    let m = epoch.maintained(pin).expect("pinned");
+                    let epochs = pinned.load();
+                    let m = epochs.maintained(pin).expect("pinned");
                     std::hint::black_box(m.unexplained.len() + m.anchors.len());
                 },
             );
             guard(&name);
-            let log_rows = pinned.load().db().table(t_log).len();
+            let log_rows = pinned.load().global_log_len();
             Workload {
                 note: Some(format!(
                     "ingest {append} rows then answer UNEXPLAINED: maintained \
@@ -636,8 +636,8 @@ fn main() {
         };
 
         workloads.push(stream_workload(format!("stream/ingest_delta{append}")));
-        let before = pinned.load().db().table(t_log).len();
-        while pinned.load().db().table(t_log).len() < before * 8 {
+        let before = pinned.load().global_log_len();
+        while pinned.load().global_log_len() < before * 8 {
             ingest_once(&pinned, &pinned_lid);
             ingest_once(&unpinned, &unpinned_lid);
         }
@@ -670,25 +670,19 @@ fn main() {
                 default_checkpoint_rows(),
             )
             .expect("fresh in-memory store");
-            let shared = SharedEngine::new(db.clone());
+            let shared = ShardedEngine::new(db.clone(), key, 1);
             for b in 0..n_batches {
                 shared
                     .ingest_with(
-                        |d| {
-                            let first = d.table(t_log).len() as u64;
-                            FakeLog::inject(
-                                d,
-                                t_log,
-                                cols,
-                                &users,
-                                &patients,
-                                append,
-                                days,
-                                0xE0_3000 + b as u64,
-                            );
+                        |batch| {
+                            let first = batch.global_log_len() as u64;
+                            let lid = FakeLog::next_lid(batch.db(0), t_log, cols);
+                            let seed = 0xE0_3000 + b as u64;
+                            FakeLog::stage(batch, &users, &patients, append, days, seed, lid);
                             first
                         },
-                        |d, &first, seq| {
+                        |batch, &first, seq| {
+                            let d = batch.db(0);
                             let t = d.table(t_log);
                             let rows: Vec<Vec<Value>> = (first..t.len() as u64)
                                 .map(|r| t.row(r as u32).to_vec())
@@ -715,16 +709,27 @@ fn main() {
             replay_into(&mut d, &batches).expect("bulk replay");
             d
         };
-        {
-            let shared = SharedEngine::new(db.clone());
+        // One epoch per recovered batch, re-interned through the batch so
+        // the shard pool stays aligned.
+        let replay_per_batch = || {
+            let shared = ShardedEngine::new(db.clone(), key, 1);
             for b in &batches {
-                shared.ingest(|d| {
-                    replay_into(d, std::slice::from_ref(b)).expect("per-batch replay");
+                shared.ingest(|batch| {
+                    for row in &b.rows {
+                        let values = row
+                            .iter()
+                            .map(|v| v.to_value(|s| batch.str_value(s)))
+                            .collect();
+                        batch.insert_log(values).expect("per-batch replay");
+                    }
                 });
             }
+            shared
+        };
+        {
             let cold = Engine::new(&bulk_db);
             assert_eq!(
-                explainer.explained_rows_at(spec, &shared.load()),
+                explainer.explained_rows_at_shards(spec, &replay_per_batch().load()),
                 explainer.explained_rows_with(&bulk_db, spec, &cold),
                 "replay strategies diverged"
             );
@@ -733,13 +738,7 @@ fn main() {
             format!("cold_start/recovery_replay{}x{append}", n_batches),
             samples,
             || {
-                let shared = SharedEngine::new(db.clone());
-                for b in &batches {
-                    shared.ingest(|d| {
-                        replay_into(d, std::slice::from_ref(b)).expect("per-batch replay");
-                    });
-                }
-                std::hint::black_box(shared.seq());
+                std::hint::black_box(replay_per_batch().seq());
             },
             || {
                 let mut d = db.clone();
@@ -754,8 +753,9 @@ fn main() {
     // exact moment an ingest+refresh cycle is in flight. The baseline
     // serializes everything behind one mutex (the coupling `&mut Engine`
     // forces on a service), so the reader's answer waits out the whole
-    // ingest+refresh; with the `SharedEngine` epoch handoff the reader
-    // answers from its pinned epoch and is never blocked by the writer.
+    // ingest+refresh; with the one-shard `ShardedEngine` epoch handoff the
+    // reader answers from its pinned vector and is never blocked by the
+    // writer.
     // The recorded duration is the per-cycle worst reader latency
     // (median over cycles) — the tail a service's SLO is made of.
     {
@@ -780,16 +780,15 @@ fn main() {
         // Differential guard: an epoch answers exactly like the per-query
         // path before we time anything.
         {
-            let shared = SharedEngine::new(db.clone());
-            let epoch = shared.load();
+            let shared = ShardedEngine::new(db.clone(), key, 1);
             assert_eq!(
-                explainer.explained_rows_at(spec, &epoch),
+                explainer.explained_rows_at_shards(spec, &shared.load()),
                 explainer.explained_rows(db, spec),
                 "epoch changed the explained set"
             );
         }
         let baseline = reader_during_ingest_locked(db, &explainer, &params);
-        let engine_side = reader_during_ingest_shared(db, &explainer, &params);
+        let engine_side = reader_during_ingest_shared(db, key, &explainer, &params);
         workloads.push(Workload {
             name: format!("concurrent/reader_during_ingest{}", params.append),
             baseline: baseline.worst_reader,
@@ -997,31 +996,24 @@ fn reader_during_ingest_locked(
 /// the readers pin whatever epoch is current and answer immediately.
 fn reader_during_ingest_shared(
     db: &Database,
+    key: ShardKey,
     explainer: &Explainer,
     p: &ConcurrentParams,
 ) -> ConcurrentResult {
-    let shared = SharedEngine::new(db.clone());
-    explainer.explained_rows_at(p.spec, &shared.load()); // warm the caches
+    let shared = ShardedEngine::new(db.clone(), key, 1);
+    explainer.explained_rows_at_shards(p.spec, &shared.load()); // warm the caches
     drive_concurrent(
         p,
         || {
-            let epoch = shared.load();
-            explainer.explained_rows_at(p.spec, &epoch);
+            explainer.explained_rows_at_shards(p.spec, &shared.load());
         },
         |seed, barrier| {
             barrier.wait(); // readers start now; the ingest runs beside them
             let start = Instant::now();
-            shared.ingest(|db_side| {
-                FakeLog::inject(
-                    db_side,
-                    p.t_log,
-                    p.cols,
-                    p.users,
-                    p.patients,
-                    p.append,
-                    p.days,
-                    0xC0_2000 + seed,
-                );
+            shared.ingest(|batch| {
+                let lid = FakeLog::next_lid(batch.db(0), p.t_log, p.cols);
+                let seed = 0xC0_2000 + seed;
+                FakeLog::stage(batch, p.users, p.patients, p.append, p.days, seed, lid);
             });
             start.elapsed()
         },

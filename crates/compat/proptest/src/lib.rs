@@ -1,9 +1,10 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! The build environment has no network access, so this crate implements the
-//! exact surface the workspace's property tests use: the [`Strategy`] trait
-//! with `prop_map`, integer/float range strategies, tuple strategies,
-//! [`collection::vec`], the [`proptest!`] macro (with
+//! exact surface the workspace's property tests use: the
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`, integer/float
+//! range strategies, tuple strategies, [`collection::vec()`], the
+//! [`proptest!`] macro (with
 //! `#![proptest_config(...)]`), and the `prop_assert*` macros. Cases are
 //! generated deterministically; there is **no shrinking** — a failing case
 //! reports its index and message only.
@@ -103,7 +104,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRunner;
 
-    /// A length distribution for [`vec`] (inclusive bounds). Mirrors
+    /// A length distribution for [`vec()`] (inclusive bounds). Mirrors
     /// upstream's `SizeRange` so `1..40`-style literals infer as `usize`.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
@@ -146,7 +147,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

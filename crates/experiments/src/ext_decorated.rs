@@ -47,7 +47,7 @@ pub fn ext_decorated(s: &Scenario) -> FigureResult {
     // Refinement re-evaluates the mined set against the *training*
     // database — the scenario's warm engine already holds those step maps.
     let refined = refine_with(
-        s.epoch().db(),
+        s.db(),
         &train_spec,
         &group_templates,
         &candidate,

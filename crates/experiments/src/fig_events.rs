@@ -21,7 +21,7 @@ pub fn rows_with_any_event_on(db: &Database, spec: &LogSpec, engine: &Engine) ->
 
 /// Union of rows whose patient has any data-set-A or B event.
 pub fn rows_with_any_event(s: &Scenario, spec: &LogSpec) -> HashSet<RowId> {
-    rows_with_any_event_on(s.epoch().db(), spec, s.engine())
+    rows_with_any_event_on(s.db(), spec, s.engine())
 }
 
 fn event_figure(
@@ -32,9 +32,9 @@ fn event_figure(
     include_repeat: bool,
     paper: &[(&str, f64)],
 ) -> FigureResult {
-    // The epoch's database: provably the state the scenario engine was
+    // The scenario's database: provably the state its engine was
     // built over (identical content to `s.hospital.db`).
-    let db = s.epoch().db();
+    let db = s.db();
     let denominator = metrics::anchor_rows(db, spec).len().max(1) as f64;
     let mut fig = FigureResult::new(id, title, &["Recall", "Paper"]);
     let preds = event_predicates(db, spec).expect("schema is CareWeb-shaped");

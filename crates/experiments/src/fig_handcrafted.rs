@@ -14,9 +14,9 @@ fn handcrafted_figure(
     include_repeat: bool,
     paper: &[(&str, f64)],
 ) -> FigureResult {
-    // The epoch's database: provably the state the scenario engine was
+    // The scenario's database: provably the state its engine was
     // built over (identical content to `s.hospital.db`).
-    let db = s.epoch().db();
+    let db = s.db();
     let denominator = metrics::anchor_rows(db, spec).len().max(1) as f64;
     let mut fig = FigureResult::new(id, title, &["Recall", "Paper"]);
     let paper_of = |label: &str| paper.iter().find(|(l, _)| *l == label).map(|(_, v)| *v);

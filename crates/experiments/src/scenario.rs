@@ -6,15 +6,12 @@ use eba_audit::handcrafted::HandcraftedTemplates;
 use eba_audit::split;
 use eba_cluster::HierarchyConfig;
 use eba_core::LogSpec;
-use eba_relational::{Engine, Epoch, SharedEngine};
+use eba_relational::{Database, Engine};
 use eba_synth::{Hospital, SynthConfig};
-use std::sync::Arc;
 
 /// A hospital ready for experiments: groups trained on days 1–6 and
-/// installed, hand-crafted templates built, and one [`SharedEngine`]
-/// session whose pinned [`Epoch`] serves every figure that reads the
-/// unmodified database — the same writer/reader lifecycle a live service
-/// uses, so the experiments exercise the production path.
+/// installed, hand-crafted templates built, and one warm [`Engine`] that
+/// serves every figure reading the unmodified database.
 #[derive(Debug)]
 pub struct Scenario {
     /// The hospital (database already contains the `Groups` table).
@@ -25,16 +22,15 @@ pub struct Scenario {
     pub groups: GroupsModel,
     /// The hand-crafted template suite.
     pub handcrafted: HandcraftedTemplates,
-    /// The snapshot-handoff cell over a copy of `hospital.db` (Groups
-    /// included) — the scenario pays one extra database copy so the
-    /// epoch's `db`/`engine` pair is structurally consistent no matter
-    /// what later happens to `hospital.db`. Figures that pair a database
-    /// with [`Scenario::engine`] read [`Scenario::epoch`]`.db()`; figures
-    /// that clone and mutate the database build their own engine over the
-    /// combined copy instead.
-    pub session: SharedEngine,
-    /// The epoch pinned at build time — identical data to `hospital.db`.
-    epoch: Arc<Epoch>,
+    /// A copy of `hospital.db` (Groups included) — the scenario pays one
+    /// extra database copy so the `db`/`engine` pair is structurally
+    /// consistent no matter what later happens to `hospital.db`. Figures
+    /// that pair a database with [`Scenario::engine`] read
+    /// [`Scenario::db`]; figures that clone and mutate the database build
+    /// their own engine over the combined copy instead.
+    db: Database,
+    /// The warm engine over `db`.
+    engine: Engine,
 }
 
 impl Scenario {
@@ -48,26 +44,27 @@ impl Scenario {
         install_groups(&mut hospital.db, &groups).expect("Groups table installs");
         let handcrafted =
             HandcraftedTemplates::build(&hospital.db, &spec).expect("CareWeb-shaped schema");
-        let session = SharedEngine::new(hospital.db.clone());
-        let epoch = session.load();
+        let db = hospital.db.clone();
+        let engine = Engine::new(&db);
         Scenario {
             hospital,
             spec,
             groups,
             handcrafted,
-            session,
-            epoch,
+            db,
+            engine,
         }
     }
 
-    /// The warm engine of the pinned epoch (same data as `hospital.db`).
+    /// The warm engine over [`Scenario::db`] (same data as `hospital.db`).
     pub fn engine(&self) -> &Engine {
-        self.epoch.engine()
+        &self.engine
     }
 
-    /// The epoch every read-only figure shares.
-    pub fn epoch(&self) -> &Epoch {
-        &self.epoch
+    /// The database every read-only figure shares with
+    /// [`Scenario::engine`].
+    pub fn db(&self) -> &Database {
+        &self.db
     }
 
     /// A small scenario for tests.
@@ -102,25 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_session_follows_ingests_without_disturbing_the_pinned_epoch() {
-        let s = Scenario::build(SynthConfig::tiny());
-        let log = s.spec.table;
-        let rows_before = s.epoch().db().table(log).len();
-        let (_, report) = s.session.ingest(|db| {
-            let arity = db.table(log).schema().arity();
-            let mut row = vec![eba_relational::Value::Null; arity];
-            row[s.spec.lid_col] = eba_relational::Value::Int(1_000_000);
-            db.insert(log, row).unwrap();
-        });
-        assert_eq!(report.seq, 1);
-        assert!(report.rebuilt.is_none());
-        // The build-time epoch (what the figures share) is frozen...
-        assert_eq!(s.epoch().db().table(log).len(), rows_before);
-        // ...and the new epoch sees the ingested row.
-        assert_eq!(s.session.load().db().table(log).len(), rows_before + 1);
-    }
-
-    #[test]
     fn scenario_engine_sees_the_groups_table() {
         let s = Scenario::build(SynthConfig::tiny());
         // The shared engine was built after install_groups, so group
@@ -134,7 +112,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             grouped
-                .explained_rows_with(s.epoch().db(), &s.spec, s.engine())
+                .explained_rows_with(s.db(), &s.spec, s.engine())
                 .unwrap(),
             grouped.explained_rows(&s.hospital.db, &s.spec).unwrap()
         );

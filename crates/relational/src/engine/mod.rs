@@ -2,19 +2,19 @@
 //!
 //! [`ChainQuery::support`](crate::ChainQuery::support) is correct but
 //! rebuilds every step's `enter → {exits}` map from a full table scan on
-//! every call, keys its frontiers on full tagged [`Value`](crate::Value)s,
+//! every call, keys its frontiers on full tagged [`Value`]s,
 //! and evaluates one query at a time. Template mining evaluates thousands
 //! of candidate queries against the *same* database, and candidate paths
 //! overwhelmingly share steps — exactly the redundancy this module removes.
 //! Three layers (see the crate docs for the architecture overview):
 //!
-//! 1. **Interning** ([`interner`]): one scan snapshots the database into
+//! 1. **Interning** ([`InternedDb`]): one scan snapshots the database into
 //!    columnar dense-`u32` form; frontier sets become bitset-deduplicated
 //!    `Vec<u32>`s.
-//! 2. **Step-map cache** ([`stepmap`]): each distinct step — keyed on
+//! 2. **Step-map cache** (`stepmap`): each distinct step — keyed on
 //!    `(table, enter_col, exit_col, const-filters, dedup)` — is built once
 //!    per [`Engine`] and shared by every query that uses it.
-//! 3. **Batch parallelism** ([`parallel`]): [`Engine::support_many`] and
+//! 3. **Batch parallelism** ([`par_map`]): [`Engine::support_many`] and
 //!    [`Engine::explained_rows_many`] evaluate a whole batch — a mining
 //!    frontier, or an auditor's entire template suite — against one cache,
 //!    fanned out over scoped threads.
@@ -25,7 +25,7 @@
 //! Queries whose decorations reference the anchor log row have no shareable
 //! *step* maps (the decoration must be re-evaluated per log row), so the
 //! engine routes them to its own per-row path over shared
-//! `(table, enter_col) → rows` **row maps** ([`stepmap::RowMap`]) —
+//! `(table, enter_col) → rows` **row maps** (`stepmap::RowMap`) —
 //! filter-free identity, one map per entered column, bitset frontiers —
 //! which keeps even the decorated part of an audit suite off the live
 //! tables' hash indexes.
@@ -48,16 +48,15 @@
 //! * **step maps over that table** are dropped — their CSR arrays
 //!   describe the old rows — and are lazily rebuilt on next use;
 //! * **row maps and log partitions over that table** are **kept**: they
-//!   are chunked by row range ([`stepmap::RowMapChunks`],
-//!   [`GroupChunks`]), and because tables are append-only a chunk over
+//!   are chunked by row range (`stepmap::RowMapChunks`,
+//!   `GroupChunks`), and because tables are append-only a chunk over
 //!   old rows stays exact forever — growth appends one chunk over just
 //!   the new rows on next use (`O(batch)`), with periodic compaction
 //!   bounding the chunk count;
 //! * everything else is **kept**: a step/row map over an un-grown table
 //!   stays exact even though the id space grew, because a newly-interned
 //!   value cannot occur in rows that have not changed (probing such a map
-//!   with a new id yields the empty slice — see
-//!   [`StepMap::exits_of`](stepmap::StepMap)).
+//!   with a new id yields the empty slice — see `StepMap::exits_of`).
 //!
 //! # When to hold a warm engine
 //!
@@ -82,13 +81,15 @@
 //!
 //! [`Engine::refresh`] takes `&mut Engine`, so a service that refreshes
 //! the engine readers are using must serialize readers against every
-//! ingest. [`SharedEngine`] removes that coupling with an epoch-style
-//! snapshot handoff: readers [`load`](SharedEngine::load) an immutable
-//! [`Epoch`] (database + engine) and evaluate against it for their whole
-//! session, while the single writer forks the current engine
-//! ([`Engine::fork`]), refreshes the fork privately, and publishes it as
-//! the next epoch — a pointer swap, never a wait for in-flight queries.
-//! See [`shared`]'s module docs for the writer/reader pattern.
+//! ingest. [`ShardedEngine`] removes that coupling with an epoch-style
+//! snapshot handoff: readers [`load`](ShardedEngine::load) an immutable
+//! [`EpochVec`] (per log shard, an [`Epoch`]: database + engine) and
+//! evaluate against it for their whole session, while the single writer
+//! forks each shard's engine ([`Engine::fork`]), refreshes the forks
+//! privately, and publishes them as the next vector — a pointer swap,
+//! never a wait for in-flight queries. One shard is the unsharded
+//! deployment. Code that never ingests needs no cell: it holds a plain
+//! [`Engine`] beside its own database.
 //!
 //! # Panic hygiene
 //!
@@ -112,7 +113,7 @@ pub use sharded::{
     shard_of, EpochVec, ShardEpoch, ShardKey, ShardRefresh, ShardedBatch, ShardedEngine,
     ShardedIngestReport,
 };
-pub use shared::{Epoch, IngestReport, Maintained, SharedEngine, SuitePin};
+pub use shared::{Epoch, Maintained, SuitePin};
 
 use crate::chain::{ChainQuery, ChainStep, EvalOptions, Rhs, StepFilter};
 use crate::database::{Database, TableId};
@@ -354,6 +355,59 @@ fn consecutive_runs(rows: &[u32]) -> Vec<(usize, usize)> {
     runs
 }
 
+/// The anchor rows one fused suite pass may answer with.
+#[derive(Clone, Copy)]
+enum Domain<'a> {
+    /// Every log row.
+    All,
+    /// Log rows `[lo, hi)`, clamped to the log.
+    Range(usize, usize),
+    /// An explicit ascending row-id set (ids past the log are ignored).
+    Rows(&'a [u32]),
+}
+
+/// The anchor rows a per-row scan visits, in ascending order: a span of
+/// row ids, or a slice of explicit ids.
+#[derive(Clone, Copy)]
+enum Scan<'a> {
+    Span(usize, usize),
+    Ids(&'a [u32]),
+}
+
+impl<'a> Scan<'a> {
+    /// `domain`'s rows of a log with `n_rows` rows.
+    fn of(domain: Domain<'a>, n_rows: usize) -> Scan<'a> {
+        match domain {
+            Domain::All => Scan::Span(0, n_rows),
+            Domain::Range(lo, hi) => Scan::Span(lo.min(n_rows), hi.min(n_rows)),
+            Domain::Rows(ids) => Scan::Ids(&ids[..ids.partition_point(|&r| (r as usize) < n_rows)]),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match *self {
+            Scan::Span(lo, hi) => hi.saturating_sub(lo),
+            Scan::Ids(ids) => ids.len(),
+        }
+    }
+
+    /// The scan's positions `[a, b)`.
+    fn slice(&self, a: usize, b: usize) -> Scan<'a> {
+        match *self {
+            Scan::Span(lo, _) => Scan::Span(lo + a, lo + b),
+            Scan::Ids(ids) => Scan::Ids(&ids[a..b]),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + 'a {
+        let (ids, span) = match *self {
+            Scan::Span(lo, hi) => (&[][..], lo..hi),
+            Scan::Ids(ids) => (ids, 0..0),
+        };
+        ids.iter().map(|&r| r as usize).chain(span)
+    }
+}
+
 impl Engine {
     /// Snapshots `db` (one scan of every table) and starts with an empty
     /// step-map cache.
@@ -436,10 +490,10 @@ impl Engine {
     /// columnar memcpy plus cache-map clones — no re-interning, no map
     /// rebuilds).
     ///
-    /// This is the writer half of [`SharedEngine`]'s epoch handoff: the
+    /// This is the writer half of [`ShardedEngine`]'s epoch handoff: the
     /// published engine stays frozen for its readers while the fork is
-    /// refreshed against the grown database and published as the next
-    /// epoch.
+    /// refreshed against the grown database and published in the next
+    /// epoch vector.
     pub fn fork(&self) -> Engine {
         Engine {
             snapshot: self.snapshot.clone(),
@@ -561,16 +615,17 @@ impl Engine {
     /// of explained rows per query (input order; invalid queries report
     /// their error in place).
     ///
-    /// Where [`Engine::eval_many`] fans out *per query* — so N templates
-    /// sharing an anchor shape re-walk the same partition's distinct
-    /// starts N times, and N decorated templates re-scan the log N times
-    /// — this driver groups the suite first and pays each scan once:
+    /// Where the per-query batch driver behind [`Engine::support_many`]
+    /// fans out *per query* — so N templates sharing an anchor shape
+    /// re-walk the same partition's distinct starts N times, and N
+    /// decorated templates re-scan the log N times — this driver groups
+    /// the suite first and pays each scan once:
     ///
-    /// * **set-based templates** are bucketed by anchor shape
-    ///   ([`GroupKey`]); per bucket, the distinct starts and each start's
-    ///   close buckets are gathered once, then every template's chain is
-    ///   walked against them (shared scratch bitset, per-chunk warm step
-    ///   maps). Parallelism is over *start ranges*, not templates, so a
+    /// * **set-based templates** are bucketed by anchor shape; per
+    ///   bucket, the distinct starts and each start's close buckets are
+    ///   gathered once, then every template's chain is walked against
+    ///   them (shared scratch bitset, per-chunk warm step maps).
+    ///   Parallelism is over *start ranges*, not templates, so a
     ///   one-template suite still uses every core;
     /// * **anchor-dependent templates** are bucketed by log table; one
     ///   scan of `0..n_rows` evaluates every decorated template against
@@ -585,6 +640,72 @@ impl Engine {
         db: &Database,
         queries: &[ChainQuery],
         opts: EvalOptions,
+    ) -> Vec<Result<RowSet>> {
+        self.eval_suite_over(db, queries, opts, Domain::All)
+    }
+
+    /// [`Engine::eval_suite`] restricted to **anchor rows** `[lo, hi)` of
+    /// each query's log table (clamped to the log): only log rows in that
+    /// range can appear in the answers, while chain steps still walk the
+    /// *whole* support tables. This is the delta evaluator behind the
+    /// maintained explained/unexplained materializations
+    /// ([`ShardedEngine::pin_suite`]): after an append grows the log by
+    /// `[lo, hi)`, evaluating just that range answers "which of the new
+    /// accesses are explained?" without re-scanning history.
+    ///
+    /// The range partition is built fresh per call and **not cached** —
+    /// it covers an arbitrary slice, not the `[0, covered)` prefix the
+    /// chunked cache extends — so reserve this for genuine deltas. Per
+    /// query, the result equals the `eval_suite` answer intersected with
+    /// `[lo, hi)`, because a log row is anchored independently of every
+    /// other log row.
+    pub fn eval_suite_range(
+        &self,
+        db: &Database,
+        queries: &[ChainQuery],
+        opts: EvalOptions,
+        lo: usize,
+        hi: usize,
+    ) -> Vec<Result<RowSet>> {
+        self.eval_suite_over(db, queries, opts, Domain::Range(lo, hi))
+    }
+
+    /// [`Engine::eval_suite`] restricted to an explicit **anchor row
+    /// set**: only rows in `rows` can appear in the answers, while chain
+    /// steps still walk the whole support tables. This is the
+    /// *scattered-residue* delta evaluator behind the maintained
+    /// partition: when a support table grows, a template stepping into
+    /// it can newly explain old anchor rows — but explanation is
+    /// monotone under append-only growth, so only the *previously
+    /// unexplained* residue needs re-asking, and the residue is usually
+    /// a small scattered fraction of the log. Per query, the result
+    /// equals the `eval_suite` answer intersected with `rows`.
+    ///
+    /// Like [`Engine::eval_suite_range`], partitions over `rows` are
+    /// built fresh (one grouped chunk per consecutive run) and not
+    /// cached — reserve this for genuine deltas.
+    pub fn eval_suite_rows(
+        &self,
+        db: &Database,
+        queries: &[ChainQuery],
+        opts: EvalOptions,
+        rows: &RowSet,
+    ) -> Vec<Result<RowSet>> {
+        self.eval_suite_over(db, queries, opts, Domain::Rows(&rows.to_vec()))
+    }
+
+    /// The one fused driver behind the three `eval_suite*` entry points:
+    /// validate, build the suite's maps, bucket the templates, fan the
+    /// bucket scans out over the domain's anchor rows, and fan the slice
+    /// results back in. The domain decides only which partition chunks a
+    /// grouped bucket walks ([`Engine::partition_over`]) and which anchor
+    /// rows the per-row scan visits ([`Scan`]).
+    fn eval_suite_over(
+        &self,
+        db: &Database,
+        queries: &[ChainQuery],
+        opts: EvalOptions,
+        domain: Domain,
     ) -> Vec<Result<RowSet>> {
         let mut results: Vec<Option<Result<RowSet>>> = queries
             .iter()
@@ -605,11 +726,11 @@ impl Engine {
         );
 
         // Bucket set-based templates by anchor shape; each bucket owns
-        // the shared partition and its distinct starts, gathered once.
+        // the partition over the domain and its distinct starts, gathered
+        // once. Bucket anchor-dependent templates by log table: one fused
+        // scan per log evaluates all of them.
         let mut grouped: Vec<GroupedBucket> = Vec::new();
         let mut bucket_ix: HashMap<GroupKey, usize> = HashMap::new();
-        // Bucket anchor-dependent templates by log table: one fused scan
-        // per log evaluates all of them.
         let mut per_row: Vec<PerRowBucket> = Vec::new();
         let mut per_row_ix: HashMap<TableId, usize> = HashMap::new();
         for (slot, q) in &valid {
@@ -631,7 +752,7 @@ impl Engine {
                 let ix = match bucket_ix.get(&key) {
                     Some(&ix) => ix,
                     None => {
-                        let groups = self.groups_for(q);
+                        let groups = self.partition_over(q, &key, domain);
                         let mut starts: Vec<u32> = Vec::new();
                         with_scratch_marks(self.snapshot.interner.len(), |marks| {
                             for chunk in &groups.chunks {
@@ -672,14 +793,14 @@ impl Engine {
             });
         }
 
-        // One work item per (bucket, range slice): parallelism is over
-        // the data, so even a single-template suite fans out.
+        // One work item per (bucket, slice): parallelism is over the
+        // data, so even a single-template suite fans out.
         let threads = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        enum Work {
+        enum Work<'a> {
             Grouped { bucket: usize, lo: usize, hi: usize },
-            PerRow { bucket: usize, lo: usize, hi: usize },
+            PerRow { bucket: usize, rows: Scan<'a> },
         }
         let mut work: Vec<Work> = Vec::new();
         for (b, bucket) in grouped.iter().enumerate() {
@@ -688,14 +809,19 @@ impl Engine {
             }
         }
         for (b, bucket) in per_row.iter().enumerate() {
-            let n_rows = self.snapshot.table(bucket.log).n_rows;
-            for (lo, hi) in split_ranges(n_rows, threads) {
-                work.push(Work::PerRow { bucket: b, lo, hi });
+            let scan = Scan::of(domain, self.snapshot.table(bucket.log).n_rows);
+            for (lo, hi) in split_ranges(scan.len(), threads) {
+                work.push(Work::PerRow {
+                    bucket: b,
+                    rows: scan.slice(lo, hi),
+                });
             }
         }
-        let outputs = par_map(&work, |item| match *item {
-            Work::Grouped { bucket, lo, hi } => self.eval_grouped_slice(&grouped[bucket], lo, hi),
-            Work::PerRow { bucket, lo, hi } => self.eval_per_row_slice(&per_row[bucket], lo, hi),
+        let outputs = par_map(&work, |item| match item {
+            Work::Grouped { bucket, lo, hi } => {
+                self.eval_grouped_slice(&grouped[*bucket], *lo, *hi)
+            }
+            Work::PerRow { bucket, rows } => self.eval_per_row_rows(&per_row[*bucket], rows.iter()),
         });
 
         // Fan-in: every valid query starts from the empty set (a bucket
@@ -717,310 +843,28 @@ impl Engine {
             .collect()
     }
 
-    /// [`Engine::eval_suite`] restricted to **anchor rows** `[lo, hi)` of
-    /// each query's log table: only log rows in that range can appear in
-    /// the answers, while chain steps still walk the *whole* support
-    /// tables. This is the delta evaluator behind the maintained
-    /// explained/unexplained materializations
-    /// ([`SharedEngine::pin_suite`]): after an append grows the log by
-    /// `[lo, hi)`, evaluating just that range answers "which of the new
-    /// accesses are explained?" without re-scanning history.
-    ///
-    /// The range partition is built fresh per call and **not cached** —
-    /// it covers an arbitrary slice, not the `[0, covered)` prefix the
-    /// chunked cache extends — so reserve this for genuine deltas. Per
-    /// query, the result equals the `eval_suite` answer intersected with
-    /// `[lo, hi)` (the stream-equivalence suite enforces this
-    /// differentially), because a log row is anchored independently of
-    /// every other log row.
-    pub fn eval_suite_range(
-        &self,
-        db: &Database,
-        queries: &[ChainQuery],
-        opts: EvalOptions,
-        lo: usize,
-        hi: usize,
-    ) -> Vec<Result<RowSet>> {
-        let mut results: Vec<Option<Result<RowSet>>> = queries
-            .iter()
-            .map(|q| q.validate(db).err().map(Err))
-            .collect();
-        let valid: Vec<(usize, &ChainQuery)> = results
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.is_none())
-            .map(|(i, _)| (i, &queries[i]))
-            .collect();
-        self.build_missing_maps(
-            valid
-                .iter()
-                .map(|(_, q)| *q)
-                .filter(|q| !q.is_anchor_dependent()),
-            opts,
-        );
-
-        let mut grouped: Vec<GroupedBucket> = Vec::new();
-        let mut bucket_ix: HashMap<GroupKey, usize> = HashMap::new();
-        let mut per_row: Vec<PerRowBucket> = Vec::new();
-        let mut per_row_ix: HashMap<TableId, usize> = HashMap::new();
-        for (slot, q) in &valid {
-            if q.is_anchor_dependent() {
-                let ix = *per_row_ix.entry(q.log).or_insert_with(|| {
-                    per_row.push(PerRowBucket {
-                        log: q.log,
-                        templates: Vec::new(),
-                    });
-                    per_row.len() - 1
-                });
-                per_row[ix].templates.push(PerRowTemplate {
-                    slot: *slot,
-                    q,
-                    rowmaps: self.rowmaps_for(q),
-                });
-            } else {
-                let key = GroupKey::of(q);
-                let ix = match bucket_ix.get(&key) {
-                    Some(&ix) => ix,
-                    None => {
-                        // One fresh, uncached chunk over just `[lo, hi)`.
-                        // Its `by_start` keys are already distinct, so the
-                        // starts need no scratch-mark dedup.
-                        let n_rows = self.snapshot.table(key.log).n_rows;
-                        let (lo, hi) = (lo.min(n_rows), hi.min(n_rows));
-                        let chunk = self.build_group_chunk(&key, lo, hi);
-                        let starts: Vec<u32> = chunk.by_start.keys().copied().collect();
-                        grouped.push(GroupedBucket {
-                            groups: GroupChunks {
-                                chunks: vec![Arc::new(chunk)],
-                                covered: hi,
-                            },
-                            starts,
-                            templates: Vec::new(),
-                        });
-                        bucket_ix.insert(key, grouped.len() - 1);
-                        grouped.len() - 1
-                    }
-                };
-                grouped[ix].templates.push(GroupedTemplate {
-                    slot: *slot,
-                    q,
-                    maps: self.maps_for(q, opts),
-                });
-            }
-        }
-
-        for bucket in &mut grouped {
-            bucket.templates.sort_by(|a, b| {
-                let ptrs = |t: &GroupedTemplate| -> Vec<usize> {
-                    t.maps.iter().map(|m| Arc::as_ptr(m) as usize).collect()
-                };
-                ptrs(a).cmp(&ptrs(b))
-            });
-        }
-
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        enum Work {
-            Grouped { bucket: usize, lo: usize, hi: usize },
-            PerRow { bucket: usize, lo: usize, hi: usize },
-        }
-        let mut work: Vec<Work> = Vec::new();
-        for (b, bucket) in grouped.iter().enumerate() {
-            for (lo, hi) in split_ranges(bucket.starts.len(), threads) {
-                work.push(Work::Grouped { bucket: b, lo, hi });
-            }
-        }
-        for (b, bucket) in per_row.iter().enumerate() {
-            let n_rows = self.snapshot.table(bucket.log).n_rows;
-            let (lo, hi) = (lo.min(n_rows), hi.min(n_rows));
-            for (a, z) in split_ranges(hi.saturating_sub(lo), threads) {
-                work.push(Work::PerRow {
-                    bucket: b,
-                    lo: lo + a,
-                    hi: lo + z,
-                });
-            }
-        }
-        let outputs = par_map(&work, |item| match *item {
-            Work::Grouped { bucket, lo, hi } => self.eval_grouped_slice(&grouped[bucket], lo, hi),
-            Work::PerRow { bucket, lo, hi } => self.eval_per_row_slice(&per_row[bucket], lo, hi),
-        });
-
-        for (slot, _) in &valid {
-            results[*slot] = Some(Ok(RowSet::new()));
-        }
-        for slice in outputs {
-            for (slot, set) in slice {
-                if let Some(Ok(acc)) = &mut results[slot] {
-                    acc.union_with(&set);
-                }
-            }
-        }
-        results
+    /// The log partition a grouped bucket walks over `domain`: the cached,
+    /// chunk-extended partition for the whole log ([`Engine::groups_for`]),
+    /// or fresh, uncached chunks over the domain's consecutive runs
+    /// (clamped to the log) — an arbitrary slice is not the `[0, covered)`
+    /// prefix the cache extends.
+    fn partition_over(&self, q: &ChainQuery, key: &GroupKey, domain: Domain) -> GroupChunks {
+        let runs = match domain {
+            Domain::All => return self.groups_for(q),
+            Domain::Range(lo, hi) => vec![(lo, hi)],
+            Domain::Rows(ids) => consecutive_runs(ids),
+        };
+        let n_rows = self.snapshot.table(key.log).n_rows;
+        let chunks = runs
             .into_iter()
-            .map(|slot| slot.expect("every query resolved"))
-            .collect()
-    }
-
-    /// [`Engine::eval_suite`] restricted to an explicit **anchor row
-    /// set**: only rows in `rows` can appear in the answers, while chain
-    /// steps still walk the whole support tables. This is the
-    /// *scattered-residue* delta evaluator behind the maintained
-    /// partition: when a support table grows, a template stepping into
-    /// it can newly explain old anchor rows — but explanation is
-    /// monotone under append-only growth, so only the *previously
-    /// unexplained* residue needs re-asking, and the residue is usually
-    /// a small scattered fraction of the log. Per query, the result
-    /// equals the `eval_suite` answer intersected with `rows` (the
-    /// stream-equivalence suite enforces this differentially).
-    ///
-    /// Like [`Engine::eval_suite_range`], partitions over `rows` are
-    /// built fresh (one grouped chunk per consecutive run) and not
-    /// cached — reserve this for genuine deltas.
-    pub fn eval_suite_rows(
-        &self,
-        db: &Database,
-        queries: &[ChainQuery],
-        opts: EvalOptions,
-        rows: &RowSet,
-    ) -> Vec<Result<RowSet>> {
-        let mut results: Vec<Option<Result<RowSet>>> = queries
-            .iter()
-            .map(|q| q.validate(db).err().map(Err))
+            .map(|(a, z)| (a.min(n_rows), z.min(n_rows)))
+            .filter(|(a, z)| a < z)
+            .map(|(a, z)| Arc::new(self.build_group_chunk(key, a, z)))
             .collect();
-        let valid: Vec<(usize, &ChainQuery)> = results
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.is_none())
-            .map(|(i, _)| (i, &queries[i]))
-            .collect();
-        self.build_missing_maps(
-            valid
-                .iter()
-                .map(|(_, q)| *q)
-                .filter(|q| !q.is_anchor_dependent()),
-            opts,
-        );
-        let row_ids: Vec<u32> = rows.to_vec();
-
-        let mut grouped: Vec<GroupedBucket> = Vec::new();
-        let mut bucket_ix: HashMap<GroupKey, usize> = HashMap::new();
-        let mut per_row: Vec<PerRowBucket> = Vec::new();
-        let mut per_row_ix: HashMap<TableId, usize> = HashMap::new();
-        for (slot, q) in &valid {
-            if q.is_anchor_dependent() {
-                let ix = *per_row_ix.entry(q.log).or_insert_with(|| {
-                    per_row.push(PerRowBucket {
-                        log: q.log,
-                        templates: Vec::new(),
-                    });
-                    per_row.len() - 1
-                });
-                per_row[ix].templates.push(PerRowTemplate {
-                    slot: *slot,
-                    q,
-                    rowmaps: self.rowmaps_for(q),
-                });
-            } else {
-                let key = GroupKey::of(q);
-                let ix = match bucket_ix.get(&key) {
-                    Some(&ix) => ix,
-                    None => {
-                        // One fresh chunk per consecutive run of the row
-                        // set; a start can recur across runs, so the
-                        // gathered starts are dedup'd (the grouped walk
-                        // visits each start once and reads close buckets
-                        // from every chunk).
-                        let n_rows = self.snapshot.table(key.log).n_rows;
-                        let mut chunks: Vec<Arc<GroupChunk>> = Vec::new();
-                        let mut starts: Vec<u32> = Vec::new();
-                        for (a, z) in consecutive_runs(&row_ids) {
-                            let (a, z) = (a.min(n_rows), z.min(n_rows));
-                            if a == z {
-                                continue;
-                            }
-                            let chunk = self.build_group_chunk(&key, a, z);
-                            starts.extend(chunk.by_start.keys().copied());
-                            chunks.push(Arc::new(chunk));
-                        }
-                        starts.sort_unstable();
-                        starts.dedup();
-                        grouped.push(GroupedBucket {
-                            groups: GroupChunks {
-                                chunks,
-                                covered: n_rows,
-                            },
-                            starts,
-                            templates: Vec::new(),
-                        });
-                        bucket_ix.insert(key, grouped.len() - 1);
-                        grouped.len() - 1
-                    }
-                };
-                grouped[ix].templates.push(GroupedTemplate {
-                    slot: *slot,
-                    q,
-                    maps: self.maps_for(q, opts),
-                });
-            }
+        GroupChunks {
+            chunks,
+            covered: n_rows,
         }
-
-        for bucket in &mut grouped {
-            bucket.templates.sort_by(|a, b| {
-                let ptrs = |t: &GroupedTemplate| -> Vec<usize> {
-                    t.maps.iter().map(|m| Arc::as_ptr(m) as usize).collect()
-                };
-                ptrs(a).cmp(&ptrs(b))
-            });
-        }
-
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        enum Work {
-            Grouped { bucket: usize, lo: usize, hi: usize },
-            PerRow { bucket: usize, lo: usize, hi: usize },
-        }
-        let mut work: Vec<Work> = Vec::new();
-        for (b, bucket) in grouped.iter().enumerate() {
-            for (lo, hi) in split_ranges(bucket.starts.len(), threads) {
-                work.push(Work::Grouped { bucket: b, lo, hi });
-            }
-        }
-        for (b, bucket) in per_row.iter().enumerate() {
-            let n_rows = self.snapshot.table(bucket.log).n_rows;
-            let end = row_ids.partition_point(|&r| (r as usize) < n_rows);
-            for (a, z) in split_ranges(end, threads) {
-                work.push(Work::PerRow {
-                    bucket: b,
-                    lo: a,
-                    hi: z,
-                });
-            }
-        }
-        let outputs = par_map(&work, |item| match *item {
-            Work::Grouped { bucket, lo, hi } => self.eval_grouped_slice(&grouped[bucket], lo, hi),
-            Work::PerRow { bucket, lo, hi } => self.eval_per_row_rows(
-                &per_row[bucket],
-                row_ids[lo..hi].iter().map(|&r| r as usize),
-            ),
-        });
-
-        for (slot, _) in &valid {
-            results[*slot] = Some(Ok(RowSet::new()));
-        }
-        for slice in outputs {
-            for (slot, set) in slice {
-                if let Some(Ok(acc)) = &mut results[slot] {
-                    acc.union_with(&set);
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every query resolved"))
-            .collect()
     }
 
     /// The rows of the previous epoch's unexplained `residue` that
@@ -1288,9 +1132,10 @@ impl Engine {
             .collect()
     }
 
-    /// One fused scan over log rows `[lo, hi)` evaluating every
+    /// One fused scan over the ascending anchor `rows` evaluating every
     /// anchor-dependent template of the bucket against each row — the
-    /// "one log scan, N templates" half of the fused driver.
+    /// "one log scan, N templates" half of the fused driver. Ascending
+    /// order is load-bearing: each template's hits compress sort-free.
     ///
     /// Templates sharing the anchor start column and the first step's
     /// (table, enter column) form a *family*: their candidate rows are
@@ -1301,19 +1146,6 @@ impl Engine {
     /// filters required by every member short-circuit the candidate, and
     /// anchor-side comparison values are hoisted out of the candidate
     /// loop entirely.
-    fn eval_per_row_slice(
-        &self,
-        bucket: &PerRowBucket,
-        lo: usize,
-        hi: usize,
-    ) -> Vec<(usize, RowSet)> {
-        self.eval_per_row_rows(bucket, lo..hi)
-    }
-
-    /// [`Engine::eval_per_row_slice`] over an arbitrary **ascending**
-    /// row iterator — the scattered-residue form behind
-    /// [`Engine::eval_suite_rows`]. Ascending order is load-bearing:
-    /// each template's hits compress sort-free.
     fn eval_per_row_rows(
         &self,
         bucket: &PerRowBucket,
@@ -1364,7 +1196,8 @@ impl Engine {
                         frontier.clear();
                         frontier.push(start);
                         if self.ad_walk(
-                            tmpl,
+                            tmpl.q,
+                            &tmpl.rowmaps,
                             &step_tables[t0],
                             log,
                             r,
@@ -1432,7 +1265,8 @@ impl Engine {
                             continue;
                         }
                         if self.ad_walk(
-                            tmpl,
+                            tmpl.q,
+                            &tmpl.rowmaps,
                             &step_tables[t],
                             log,
                             r,
@@ -1455,16 +1289,19 @@ impl Engine {
             .collect()
     }
 
-    /// Walks `tmpl`'s steps from `skip` onward for anchor row `r`, with
-    /// `frontier` holding the entry frontier, and answers the close
-    /// check: whether `r` is explained. Shared by the singleton fast
-    /// path (`skip == 0`, frontier seeded with the start value) and the
-    /// fused family pass (`skip == 1`, frontier produced by the shared
-    /// candidate scan).
+    /// Walks `q`'s steps (over their row maps `rowmaps` and tables
+    /// `tables`) from `skip` onward for anchor row `r`, with `frontier`
+    /// holding the entry frontier, and answers the close check: whether
+    /// `r` is explained. The one per-row walk: shared by the per-query
+    /// path ([`Engine::explained_anchor_dep`]) and the fused scan's
+    /// singleton fast path (`skip == 0`, frontier seeded with the start
+    /// value) and family pass (`skip == 1`, frontier produced by the
+    /// shared candidate scan).
     #[allow(clippy::too_many_arguments)]
     fn ad_walk(
         &self,
-        tmpl: &PerRowTemplate,
+        q: &ChainQuery,
+        rowmaps: &[RowMapChunks],
         tables: &[&InternedTable],
         log: &InternedTable,
         r: usize,
@@ -1474,8 +1311,7 @@ impl Engine {
         marks: &mut BitMarks,
     ) -> bool {
         let interner = &self.snapshot.interner;
-        let q = tmpl.q;
-        let later = q.steps.iter().zip(tables).zip(&tmpl.rowmaps).skip(skip);
+        let later = q.steps.iter().zip(tables).zip(rowmaps).skip(skip);
         for ((step, table), rowmap) in later {
             next.clear();
             for &v in frontier.iter() {
@@ -1905,65 +1741,33 @@ impl Engine {
     /// Returns rows in ascending order (the scan order).
     fn explained_anchor_dep(&self, q: &ChainQuery, rowmaps: &[RowMapChunks]) -> Vec<RowId> {
         let log = self.snapshot.table(q.log);
-        let interner = &self.snapshot.interner;
         let step_tables: Vec<&InternedTable> = q
             .steps
             .iter()
             .map(|s| self.snapshot.table(s.table))
             .collect();
         let mut out = Vec::new();
-        with_scratch_marks(interner.len(), |marks| {
+        with_scratch_marks(self.snapshot.interner.len(), |marks| {
             let mut frontier: Vec<u32> = Vec::new();
             let mut next: Vec<u32> = Vec::new();
             for r in 0..log.n_rows {
-                if !self.anchor_passes(q, log, r) {
-                    continue;
-                }
                 let start = log.cols[q.start_col][r];
-                if start == NULL_ID {
+                if !self.anchor_passes(q, log, r) || start == NULL_ID {
                     continue;
                 }
                 frontier.clear();
                 frontier.push(start);
-                let mut dead = false;
-                for ((step, table), rowmap) in q.steps.iter().zip(&step_tables).zip(rowmaps) {
-                    next.clear();
-                    for &v in &frontier {
-                        'rows: for cand in rowmap.rows_of(v) {
-                            let cand = cand as usize;
-                            for f in &step.filters {
-                                let lhs = interner.value(table.cols[f.col][cand]);
-                                let rhs = match f.rhs {
-                                    Rhs::Const(c) => c,
-                                    Rhs::AnchorCol(col) => interner.value(log.cols[col][r]),
-                                };
-                                if !f.op.eval(&lhs, &rhs) {
-                                    continue 'rows;
-                                }
-                            }
-                            let exit = table.cols[step.exit_col][cand];
-                            if exit != NULL_ID && marks.insert(exit) {
-                                next.push(exit);
-                            }
-                        }
-                    }
-                    marks.remove_all(&next);
-                    std::mem::swap(&mut frontier, &mut next);
-                    if frontier.is_empty() {
-                        dead = true;
-                        break;
-                    }
-                }
-                if dead {
-                    continue;
-                }
-                let explained = match q.close_col {
-                    None => true,
-                    Some(c) => {
-                        let close = log.cols[c][r];
-                        close != NULL_ID && frontier.contains(&close)
-                    }
-                };
+                let explained = self.ad_walk(
+                    q,
+                    rowmaps,
+                    &step_tables,
+                    log,
+                    r,
+                    0,
+                    &mut frontier,
+                    &mut next,
+                    marks,
+                );
                 if explained {
                     out.push(r as RowId);
                 }

@@ -1,17 +1,18 @@
 //! Sharded scatter-gather engine: the log hash-partitioned into N shards,
 //! each with its own segmented storage and warm [`Engine`], published
-//! together as one atomically-swapped epoch *vector*.
+//! together as one atomically-swapped epoch *vector*. This is the only
+//! publication cell; one shard is the unsharded deployment, bit for bit
+//! the single engine.
 //!
 //! # Why sharding works here
 //!
 //! Explanation-based auditing is embarrassingly parallel at access-log
 //! granularity: explained/unexplained row sets, misuse metrics, and
-//! timeline day buckets all merge associatively. One [`SharedEngine`] is
-//! one writer and one monolithic snapshot; a [`ShardedEngine`] splits the
-//! log by a hash of the partition column (conventionally the patient —
-//! exactly the attribute the paper's per-patient explanations group by),
-//! runs per-shard incremental refresh, and answers suite questions by
-//! [`par_map`] across shards plus an associative merge.
+//! timeline day buckets all merge associatively. A [`ShardedEngine`]
+//! splits the log by a hash of the partition column (conventionally the
+//! patient — exactly the attribute the paper's per-patient explanations
+//! group by), runs per-shard incremental refresh, and answers suite
+//! questions by [`par_map`] across shards plus an associative merge.
 //!
 //! # What is partitioned and what is replicated
 //!
@@ -34,16 +35,17 @@
 //!
 //! # Publication
 //!
-//! [`ShardedEngine::ingest_with`] mirrors [`SharedEngine::ingest_with`]
-//! exactly — private clones, per-shard fork + incremental refresh with a
-//! full-rebuild fallback, a persist hook that runs *before* anything is
-//! published (published ⊆ durable), and a single pointer swap publishing
-//! the whole [`EpochVec`] under one sequence number. Readers pin the
+//! [`ShardedEngine::ingest_with`] publishes by epoch handoff (see the
+//! [`engine`](super) module docs): private clones, per-shard fork +
+//! incremental refresh with a full-rebuild fallback, a persist hook that
+//! runs *before* anything is published (published ⊆ durable), and a
+//! single pointer swap publishing the whole [`EpochVec`] under one
+//! sequence number. Readers pin the
 //! vector, so every epoch-pinned byte-stability guarantee carries over
 //! unchanged.
 
 use super::parallel::par_map;
-use super::shared::{compute_maintained, Epoch, Maintained, SuitePin};
+use super::shared::{Epoch, Maintained, SuitePin};
 use super::{Engine, RefreshError, RefreshStats, Residue};
 use crate::chain::{ChainQuery, EvalOptions};
 use crate::database::{Database, TableId};
@@ -113,7 +115,7 @@ pub struct ShardEpoch {
 
 impl ShardEpoch {
     /// The shard's epoch — pass its `db`/`engine` pair to any audit-layer
-    /// `*_with` function, or the epoch itself to the `*_at` forms.
+    /// `*_with` function.
     pub fn epoch(&self) -> &Arc<Epoch> {
         &self.epoch
     }
@@ -356,26 +358,33 @@ fn to_global_set(shard: &ShardEpoch, local: &RowSet) -> RowSet {
     RowSet::from_sorted_vec(&global)
 }
 
-/// Cold global materialization of `pin`: every shard computes its local
-/// sets in parallel, then the global-id bitmaps fold with the associative
-/// union — the same scatter-gather shape as [`EpochVec::eval_suite`].
-fn compute_maintained_sharded(
+/// Where a maintained advance starts: the previous vector's shards, each
+/// shard's refresh report, and the previous global materialization.
+type AdvanceFrom<'a> = (&'a [ShardEpoch], &'a [ShardRefresh], &'a Maintained);
+
+/// The global materialization of `pin` over `shards`: each shard computes
+/// its local sets in parallel ([`shard_delta`]) and the global-id bitmaps
+/// fold with the associative union into `from`'s previous sets — the
+/// same scatter-gather shape as [`EpochVec::eval_suite`]. Cold when
+/// `from` is `None`.
+fn maintain(
     shards: &[ShardEpoch],
     pin: &SuitePin,
     global_log_len: usize,
+    from: Option<AdvanceFrom>,
 ) -> Maintained {
     let idx: Vec<usize> = (0..shards.len()).collect();
-    let per: Vec<(RowSet, RowSet)> = par_map(&idx, |&s| {
-        let shard = &shards[s];
-        let m = compute_maintained(shard.engine(), shard.db(), pin);
-        (
-            to_global_set(shard, &m.anchors),
-            to_global_set(shard, &m.explained),
-        )
+    let deltas: Vec<(RowSet, RowSet)> = par_map(&idx, |&s| {
+        let advance = from.map(|(base, reports, prev)| {
+            (&base[s], reports[s].refresh.delta.grown.as_slice(), prev)
+        });
+        shard_delta(&shards[s], pin, advance)
     });
-    let mut anchors = RowSet::new();
-    let mut explained = RowSet::new();
-    for (a, e) in per {
+    let (mut anchors, mut explained) = match from {
+        Some((_, _, prev)) => (prev.anchors.clone(), prev.explained.clone()),
+        None => (RowSet::new(), RowSet::new()),
+    };
+    for (a, e) in deltas {
         anchors.union_with(&a);
         explained.union_with(&e);
     }
@@ -388,45 +397,36 @@ fn compute_maintained_sharded(
     }
 }
 
-/// Advances the global materialization across one sharded ingest: each
-/// shard computes its **local** delta — appended-range anchor scan,
-/// tail-range evaluation over the appended rows for every template, and
-/// [`Engine::reask_grown`] against the previous global `unexplained`
-/// set (see [`Maintained`] for the monotonicity argument) — and the
-/// global-id deltas merge associatively into the previous sets.
-fn advance_maintained_sharded(
-    prev_shards: &[ShardEpoch],
-    shards: &[ShardEpoch],
+/// One shard's `(anchors, explained)` delta in **global** row ids. Cold
+/// (`advance` is `None`): every anchor row and the fused suite over the
+/// shard's whole log. Advancing from the shard's previous epoch `base`,
+/// whose refresh grew the tables `grown`: an anchor scan of the appended
+/// log rows, one [`Engine::eval_suite_range`] over them for every
+/// template, and [`Engine::reask_grown`] against the previous global
+/// `unexplained` set (see [`Maintained`] for the monotonicity argument).
+fn shard_delta(
+    shard: &ShardEpoch,
     pin: &SuitePin,
-    prev: &Maintained,
-    reports: &[ShardRefresh],
-    global_log_len: usize,
-) -> Maintained {
-    let idx: Vec<usize> = (0..shards.len()).collect();
-    let deltas: Vec<(RowSet, RowSet)> = par_map(&idx, |&s| {
-        let shard = &shards[s];
-        let engine = shard.engine();
-        let db = shard.db();
-        let (l0, l1) = (prev_shards[s].log_len(), shard.log_len());
-        let log = engine.snapshot().table(pin.log);
-        let mut fresh: Vec<RowId> = Vec::new();
-        for r in l0..l1 {
-            if engine.anchor_passes_filters(&pin.anchor_filters, log, r) {
-                fresh.push(r as RowId);
-            }
-        }
-        let anchors = RowSet::from_sorted_vec(&fresh);
-        // Appended rows: one range evaluation over every template.
-        let mut explained = RowSet::new();
-        if l1 > l0 {
-            for set in engine
-                .eval_suite_range(db, &pin.queries, pin.opts, l0, l1)
-                .into_iter()
-                .flatten()
-            {
-                explained.union_with(&set);
-            }
-        }
+    advance: Option<(&ShardEpoch, &[TableId], &Maintained)>,
+) -> (RowSet, RowSet) {
+    let engine = shard.engine();
+    let db = shard.db();
+    let (l0, l1) = (
+        advance.map_or(0, |(base, ..)| base.log_len()),
+        shard.log_len(),
+    );
+    let log = engine.snapshot().table(pin.log);
+    let fresh: Vec<RowId> = (l0..l1)
+        .filter(|&r| engine.anchor_passes_filters(&pin.anchor_filters, log, r))
+        .map(|r| r as RowId)
+        .collect();
+    let suite = match advance {
+        None => engine.eval_suite(db, &pin.queries, pin.opts),
+        Some(_) if l1 > l0 => engine.eval_suite_range(db, &pin.queries, pin.opts, l0, l1),
+        Some(_) => Vec::new(),
+    };
+    let mut explained = RowSet::union_all(suite.into_iter().flatten());
+    if let Some((base, grown, prev)) = advance {
         // Old rows: the global residue seen through this shard's ids. The
         // full re-ask fallback maps the residue back through the sorted
         // global-id index; the candidate walk only maps its own rows.
@@ -442,27 +442,13 @@ fn advance_maintained_sharded(
                 RowSet::from_sorted_vec(&local)
             },
         };
-        let base = prev_shards[s].engine().snapshot();
-        let grown = &reports[s].refresh.delta.grown;
+        let base = base.engine().snapshot();
         explained.union_with(&engine.reask_grown(db, base, grown, pin, &residue));
-        (
-            to_global_set(shard, &anchors),
-            to_global_set(shard, &explained),
-        )
-    });
-    let mut anchors = prev.anchors.clone();
-    let mut explained = prev.explained.clone();
-    for (a, e) in deltas {
-        anchors.union_with(&a);
-        explained.union_with(&e);
     }
-    let unexplained = anchors.difference(&explained);
-    Maintained {
-        anchors,
-        explained,
-        unexplained,
-        log_len: global_log_len,
-    }
+    (
+        to_global_set(shard, &RowSet::from_sorted_vec(&fresh)),
+        to_global_set(shard, &explained),
+    )
 }
 
 /// What one shard's refresh did during a sharded ingest.
@@ -496,8 +482,11 @@ impl ShardedIngestReport {
     }
 
     /// Operator-facing warnings, one per shard that fell back to a full
-    /// rebuild (empty on the normal incremental path) — the sharded form
-    /// of [`super::IngestReport::fallback_warning`].
+    /// rebuild (empty on the normal incremental path). The fallback keeps
+    /// the service publishing, but it costs a whole re-snapshot and
+    /// usually means the ingest source replaced state instead of
+    /// appending — exactly what an operator wants to hear about rather
+    /// than have silently absorbed.
     pub fn fallback_warnings(&self) -> Vec<String> {
         self.shards
             .iter()
@@ -610,11 +599,9 @@ impl ShardedBatch {
     }
 }
 
-/// The sharded snapshot-handoff cell: [`SharedEngine`]'s contract — one
-/// serialized writer, wait-free readers, persist-before-publish — over an
-/// [`EpochVec`] instead of a single epoch.
-///
-/// [`SharedEngine`]: super::SharedEngine
+/// The snapshot-handoff cell — one serialized writer, wait-free readers,
+/// persist-before-publish — over an [`EpochVec`]. See the
+/// [`engine`](super) module docs for the writer/reader pattern.
 #[derive(Debug)]
 pub struct ShardedEngine {
     current: RwLock<Arc<EpochVec>>,
@@ -651,11 +638,12 @@ impl ShardedEngine {
     }
 
     /// Registers a suite for incremental maintenance and returns its pin
-    /// id — the sharded form of
-    /// [`SharedEngine::pin_suite`](super::SharedEngine::pin_suite). The
+    /// id (an index into every later vector's maintained entries). The
     /// current vector is republished (same shard epochs, same seq) with
-    /// the pin's cold global materialization added; every later ingest
-    /// advances it by per-shard deltas merged associatively.
+    /// the pin's cold global materialization added, so a reader loading
+    /// after `pin_suite` returns already sees the maintained sets; every
+    /// later ingest advances them by per-shard deltas merged
+    /// associatively. Serialized against ingests by the writer lock.
     pub fn pin_suite(&self, pin: SuitePin) -> usize {
         let _writer = unpoison(self.writer.lock());
         let base = self.load();
@@ -665,10 +653,11 @@ impl ShardedEngine {
         pins.push(pin.clone());
         drop(pins);
         let mut maintained = base.maintained.clone();
-        maintained.push(Arc::new(compute_maintained_sharded(
+        maintained.push(Arc::new(maintain(
             &base.shards,
             &pin,
             base.global_log_len,
+            None,
         )));
         *unpoison(self.current.write()) = Arc::new(EpochVec {
             shards: base.shards.clone(),
@@ -713,9 +702,10 @@ impl ShardedEngine {
         built.into_boxed_slice()
     }
 
-    /// Pins the current epoch vector. Effectively wait-free, exactly like
-    /// [`SharedEngine::load`](super::SharedEngine::load): the read lock
-    /// guards a single `Arc` clone.
+    /// Pins the current epoch vector. Effectively wait-free: the read lock
+    /// guards a single `Arc` clone, never a query or a refresh. Call once
+    /// per session (or per dashboard recomputation), not once per query —
+    /// the vector is the session's consistent view.
     pub fn load(&self) -> Arc<EpochVec> {
         unpoison(self.current.read()).clone()
     }
@@ -753,14 +743,24 @@ impl ShardedEngine {
         (out, report)
     }
 
-    /// [`ShardedEngine::ingest`] with a **persist hook**, the sharded form
-    /// of [`SharedEngine::ingest_with`](super::SharedEngine::ingest_with):
-    /// `persist` runs after every shard has been mutated and refreshed but
-    /// *before* anything is published, with the staged batch and the
-    /// would-be seq. `Err` publishes nothing and frees the seq — the
-    /// published history stays a prefix of the durable history, shard
-    /// assignment notwithstanding (the durable log is recorded in global
-    /// row order and re-partitioned deterministically on recovery).
+    /// [`ShardedEngine::ingest`] with a **persist hook**: `persist` runs
+    /// after every shard has been mutated and refreshed but *before*
+    /// anything is published, with the staged batch and the would-be seq.
+    /// Only if it returns `Ok` is the vector published (and the sequence
+    /// counter advanced).
+    ///
+    /// This is the durable-ingest ordering contract: a service that
+    /// writes the batch to a [`DurableStore`](crate::pile::DurableStore)
+    /// inside `persist` acknowledges only states that are already on
+    /// disk, so the **published history is always a prefix of the durable
+    /// history** — shard assignment notwithstanding (the durable log is
+    /// recorded in global row order and re-partitioned deterministically
+    /// on recovery). `Err` publishes nothing, frees the seq, and returns
+    /// with the writer lock released — the next ingest proceeds normally.
+    ///
+    /// # Panic safety
+    /// Exactly as [`ShardedEngine::ingest`]: a panic in `mutate`, a
+    /// refresh, or `persist` publishes nothing.
     pub fn ingest_with<R, E>(
         &self,
         mutate: impl FnOnce(&mut ShardedBatch) -> R,
@@ -835,16 +835,10 @@ impl ShardedEngine {
         let maintained: Vec<Arc<Maintained>> = pins
             .iter()
             .enumerate()
-            .map(|(i, pin)| match base.maintained.get(i) {
-                Some(prev) if !rebuilt_any => Arc::new(advance_maintained_sharded(
-                    &base.shards,
-                    &shards,
-                    pin,
-                    prev,
-                    &report.shards,
-                    global_len,
-                )),
-                _ => Arc::new(compute_maintained_sharded(&shards, pin, global_len)),
+            .map(|(i, pin)| {
+                let from = base.maintained.get(i).filter(|_| !rebuilt_any);
+                let from = from.map(|prev| (&base.shards[..], &report.shards[..], &**prev));
+                Arc::new(maintain(&shards, pin, global_len, from))
             })
             .collect();
         *unpoison(self.current.write()) = Arc::new(EpochVec {
@@ -857,11 +851,20 @@ impl ShardedEngine {
         Ok((out, report))
     }
 
-    /// Replaces the published state **wholesale** (an operator reload):
-    /// re-partitions `db` from scratch and publishes the successor vector.
-    /// Every shard reports [`RefreshError::Replaced`], so the fallback
-    /// warnings fire exactly like the unsharded
-    /// [`SharedEngine::replace`](super::SharedEngine::replace).
+    /// Replaces the published state **wholesale** (an operator reload of a
+    /// corrected dataset): re-partitions `db` from scratch and publishes
+    /// the successor vector.
+    ///
+    /// Unlike [`ShardedEngine::ingest`], this never attempts the
+    /// incremental refresh: an incremental pass only rescans rows
+    /// *appended* since the snapshot, so a replacement whose row counts
+    /// happen to line up with the published vector's would keep the
+    /// engines answering from the replaced cells. Every shard reports
+    /// [`RefreshError::Replaced`], so
+    /// [`ShardedIngestReport::fallback_warnings`] fire exactly like an
+    /// ingest-path fallback — a reload is an operator-visible event, never
+    /// silently absorbed. Readers pinned to older vectors are untouched
+    /// until their next load.
     pub fn replace(&self, db: Database) -> ShardedIngestReport {
         let mut next_seq = unpoison(self.writer.lock());
         let n = self.shard_count();
@@ -882,7 +885,7 @@ impl ShardedEngine {
         let pins = unpoison(self.pins.lock()).clone();
         let maintained = pins
             .iter()
-            .map(|pin| Arc::new(compute_maintained_sharded(&shards, pin, global_log_len)))
+            .map(|pin| Arc::new(maintain(&shards, pin, global_log_len, None)))
             .collect();
         *unpoison(self.current.write()) = Arc::new(EpochVec {
             shards,
@@ -1140,13 +1143,129 @@ mod tests {
         assert_eq!(report.seq, 1);
         assert!(report.rebuilt_any());
         assert_eq!(report.fallback_warnings().len(), 4);
-        assert!(report.fallback_warnings()[0].contains("replaced"));
+        for warning in report.fallback_warnings() {
+            assert!(warning.contains("replaced"), "{warning}");
+            assert!(warning.contains("epoch 1"), "{warning}");
+            assert!(warning.contains("rebuilding"), "{warning}");
+        }
         let vec = sharded.load();
         assert_eq!(
             vec.explained_rows(&q, EvalOptions::default()).unwrap(),
             q.explained_rows(&corrected, EvalOptions::default())
                 .unwrap()
         );
+    }
+
+    #[test]
+    fn replace_rebuilds_even_when_nothing_shrank() {
+        // The hole `replace` exists to close: a replacement whose row
+        // counts line up with the published vector's would pass the
+        // incremental refresh's shrink checks, yet its *cells* differ —
+        // an incremental pass would keep answering from the old data.
+        let (db, log, event) = world();
+        let q = query(log, event);
+        let sharded = ShardedEngine::new(db.clone(), key(&db, log), 1);
+        let before = sharded
+            .load()
+            .explained_rows(&q, EvalOptions::default())
+            .unwrap();
+        // Same shape, same row counts, different cells: every event now
+        // names actor 2, so the old answer is wrong for it.
+        let (mut corrected, _, _) = world();
+        let (event_rows, log_rows) = (corrected.table(event).len(), corrected.table(log).len());
+        corrected = corrected.clone_with_empty_table(event);
+        for p in 0..event_rows as i64 {
+            corrected
+                .insert(event, vec![Value::Int(p), Value::Int(2)])
+                .unwrap();
+        }
+        assert_eq!(corrected.table(log).len(), log_rows);
+        let report = sharded.replace(corrected.clone());
+        assert_eq!(report.shards[0].rebuilt, Some(RefreshError::Replaced));
+        // The published vector answers from the *corrected* data, exactly
+        // like the row evaluator does.
+        let after = sharded
+            .load()
+            .explained_rows(&q, EvalOptions::default())
+            .unwrap();
+        assert_eq!(
+            after,
+            q.explained_rows(&corrected, EvalOptions::default())
+                .unwrap()
+        );
+        assert_ne!(after, before, "the corrected cells change the answer");
+    }
+
+    #[test]
+    fn caches_stay_warm_across_epochs() {
+        let (db, log, event) = world();
+        let sharded = ShardedEngine::new(db.clone(), key(&db, log), 1);
+        let q = query(log, event);
+        let v0 = sharded.load();
+        v0.explained_rows(&q, EvalOptions::default()).unwrap();
+        assert_eq!(v0.shards()[0].engine().cached_step_maps(), 1);
+        // Growing only the log drops partitions, not the Event step map —
+        // and the successor inherits it through the fork.
+        let ((), report) = sharded.ingest(|batch| {
+            batch
+                .insert_log(vec![Value::Int(20), Value::Int(2), Value::Int(9)])
+                .unwrap();
+        });
+        assert_eq!(report.shards[0].refresh.dropped_step_maps, 0);
+        assert_eq!(sharded.load().shards()[0].engine().cached_step_maps(), 1);
+    }
+
+    #[test]
+    fn ingest_returns_the_mutators_output() {
+        let (db, log, _) = world();
+        let sharded = ShardedEngine::new(db.clone(), key(&db, log), 1);
+        let (rid, _) = sharded.ingest(|batch| {
+            batch
+                .insert_log(vec![Value::Int(20), Value::Int(3), Value::Int(7)])
+                .unwrap()
+        });
+        assert_eq!(rid, 20);
+    }
+
+    #[test]
+    fn concurrent_readers_always_observe_a_published_epoch() {
+        let (db, log, event) = world();
+        let sharded = ShardedEngine::new(db.clone(), key(&db, log), 1);
+        let q = query(log, event);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let mut last_seq = 0;
+                    while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                        let vec = sharded.load();
+                        assert!(vec.seq() >= last_seq, "epochs move forward");
+                        last_seq = vec.seq();
+                        // The vector is internally consistent: the engine
+                        // answers exactly like the row evaluator over the
+                        // shard's own database.
+                        let shard = &vec.shards()[0];
+                        assert_eq!(
+                            vec.explained_rows(&q, EvalOptions::default()).unwrap(),
+                            q.explained_rows(shard.db(), EvalOptions::default())
+                                .unwrap()
+                        );
+                    }
+                });
+            }
+            for i in 0..5i64 {
+                sharded.ingest(|batch| {
+                    batch
+                        .insert_log(vec![Value::Int(20 + i), Value::Int(1), Value::Int(7)])
+                        .unwrap();
+                    batch
+                        .insert_dim(event, vec![Value::Int(7), Value::Int(20 + i)])
+                        .unwrap();
+                });
+            }
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
+        assert_eq!(sharded.seq(), 5);
     }
 
     #[test]
@@ -1164,7 +1283,7 @@ mod tests {
             let id = sharded.pin_suite(pin.clone());
             let check = |vec: &EpochVec| {
                 let m = vec.maintained(id).expect("pinned vector carries the sets");
-                let cold = compute_maintained_sharded(vec.shards(), &pin, vec.global_log_len());
+                let cold = maintain(vec.shards(), &pin, vec.global_log_len(), None);
                 assert_eq!(m.anchors, cold.anchors, "{n} shards");
                 assert_eq!(m.explained, cold.explained, "{n} shards");
                 assert_eq!(m.unexplained, cold.unexplained, "{n} shards");
@@ -1193,6 +1312,9 @@ mod tests {
             sharded.replace(db.clone());
             check(&sharded.load());
         }
+        // Vectors published before the pin lack the entry, never lie.
+        let unpinned = ShardedEngine::new(db.clone(), key(&db, log), 1);
+        assert!(unpinned.load().maintained(0).is_none());
     }
 
     #[test]

@@ -56,11 +56,12 @@
 //!    only the appended rows and dropping only the caches over tables that
 //!    grew — a long-running auditing service keeps one engine per session
 //!    instead of re-snapshotting per query.
-//! 5. **Snapshot handoff** ([`SharedEngine`]): a service answering audit
-//!    queries *while* the log ingests publishes immutable
-//!    [`Epoch`]s (database + engine, frozen together); readers pin one
-//!    epoch per session and are never blocked by a refresh, the single
-//!    writer refreshes a private fork and swaps it in atomically. The
+//! 5. **Snapshot handoff** ([`ShardedEngine`]): a service answering audit
+//!    queries *while* the log ingests publishes immutable epoch vectors
+//!    ([`EpochVec`]: per log shard, an [`Epoch`] — database + engine,
+//!    frozen together; one shard is the unsharded deployment); readers
+//!    pin one vector per session and are never blocked by a refresh, the
+//!    single writer refreshes private forks and swaps them in atomically. The
 //!    [`Database`] itself is `Send + Sync` (poison-tolerant lazily-built
 //!    caches, [`sync::unpoison`]), so one epoch serves any number of
 //!    concurrent sessions — and a panicking query or ingest cannot poison
@@ -111,9 +112,8 @@ pub use chain::{
 };
 pub use database::{AttrRef, Database, RelationshipKind, TableId};
 pub use engine::{
-    shard_of, Engine, Epoch, EpochVec, IngestReport, Maintained, RefreshDelta, RefreshError,
-    RefreshStats, ShardEpoch, ShardKey, ShardRefresh, ShardedBatch, ShardedEngine,
-    ShardedIngestReport, SharedEngine, SuitePin,
+    shard_of, Engine, Epoch, EpochVec, Maintained, RefreshDelta, RefreshError, RefreshStats,
+    ShardEpoch, ShardKey, ShardRefresh, ShardedBatch, ShardedEngine, ShardedIngestReport, SuitePin,
 };
 pub use error::{Error, PileError, Result};
 pub use index::{HashIndex, TableIndex};

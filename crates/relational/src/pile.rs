@@ -133,12 +133,13 @@ impl PlainValue {
         }
     }
 
-    /// Re-interns into `db`'s pool (the replay direction).
-    pub fn to_value(&self, db: &mut Database) -> Value {
+    /// Re-interns strings through `intern` (the replay direction): a
+    /// database's pool, or a sharded ingest batch's aligned shard pools.
+    pub fn to_value(&self, intern: impl FnOnce(&str) -> Value) -> Value {
         match self {
             PlainValue::Null => Value::Null,
             PlainValue::Int(i) => Value::Int(*i),
-            PlainValue::Str(s) => db.str_value(s),
+            PlainValue::Str(s) => intern(s),
             PlainValue::Date(m) => Value::Date(*m),
         }
     }
@@ -403,10 +404,10 @@ impl DurableStore {
     /// Opens (creating if absent) the pile at `path` and its WAL,
     /// recovers every surviving batch, and returns the store positioned
     /// to append. The recovered batches are in replay order; feed them to
-    /// [`replay_into`] (or one [`SharedEngine::ingest`] each to rebuild
+    /// [`replay_into`] (or one [`ShardedEngine::ingest`] each to rebuild
     /// the epoch chain batch-for-batch).
     ///
-    /// [`SharedEngine::ingest`]: crate::SharedEngine::ingest
+    /// [`ShardedEngine::ingest`]: crate::ShardedEngine::ingest
     pub fn open(
         path: &Path,
         policy: Durability,
@@ -688,7 +689,7 @@ fn absorb_scan(report: &mut RecoveryReport, scan: &ScanReport, label: &str, is_p
 ///
 /// This is the bulk path a cold-starting service uses (insert everything,
 /// build one engine); the differential suite instead replays one
-/// [`SharedEngine::ingest`](crate::SharedEngine::ingest) per batch to
+/// [`ShardedEngine::ingest`](crate::ShardedEngine::ingest) per batch to
 /// check every intermediate epoch.
 pub fn replay_into(db: &mut Database, batches: &[Batch]) -> Result<u64, PileError> {
     let mut rows = 0u64;
@@ -703,7 +704,10 @@ pub fn replay_into(db: &mut Database, batches: &[Batch]) -> Result<u64, PileErro
             });
         }
         for row in &batch.rows {
-            let values: Vec<Value> = row.iter().map(|v| v.to_value(db)).collect();
+            let values: Vec<Value> = row
+                .iter()
+                .map(|v| v.to_value(|s| db.str_value(s)))
+                .collect();
             db.insert(table, values)?;
         }
         rows += batch.rows.len() as u64;

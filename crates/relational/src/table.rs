@@ -37,7 +37,7 @@ struct ColIndexCache {
 /// plus a small mutable tail, which is all a clone copies. That makes
 /// epoch publication `O(batch)`, not `O(table)`.
 ///
-/// The index cache is segmented the same way ([`ColIndexCache`]): an
+/// The index cache is segmented the same way (`ColIndexCache`): an
 /// append leaves every index over sealed data warm and shared; only the
 /// small tail part is rebuilt on next use. The cache sits behind a
 /// poison-tolerant `RwLock` so that read-only query evaluation

@@ -162,7 +162,7 @@ impl Server {
     }
 
     /// The shared service state (e.g. to compare server replies against
-    /// the library-level `*_at` answers for the same epoch).
+    /// the library-level `*_at_shards` answers for the same epoch).
     pub fn service(&self) -> &Arc<AuditService> {
         &self.service
     }

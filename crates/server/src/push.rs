@@ -14,13 +14,14 @@
 //! closes. A stalled compliance dashboard costs itself its feed; it can
 //! never back-pressure the writer or the other subscribers.
 //!
-//! The diff itself is O(delta): the maintained [`Maintained`] sets of
-//! the service's pinned suite are materialized per epoch, so "what
-//! became unexplained" is one `RowSet::difference` between the epoch
-//! before and after the ingest — no suite re-evaluation on the publish
-//! path. Misuse crossings piggyback on the same diff: per-user
-//! unexplained tallies are only counted when a misuse subscriber exists,
-//! and only for users who gained a row in this publish.
+//! The diff itself is O(delta): the maintained
+//! [`Maintained`](eba_relational::Maintained) sets of the service's
+//! pinned suite are materialized per epoch, so "what became unexplained"
+//! is one `RowSet::difference` between the epoch before and after the
+//! ingest — no suite re-evaluation on the publish path. Misuse
+//! crossings piggyback on the same diff: per-user unexplained tallies
+//! are only counted when a misuse subscriber exists, and only for users
+//! who gained a row in this publish.
 //!
 //! Operator database reloads ([`AuditService::replace_database`]) do not
 //! publish events: a wholesale replacement is not a stream of new

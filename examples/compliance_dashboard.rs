@@ -10,25 +10,27 @@
 //! data points at a *different* user" (the snooping signature).
 //!
 //! The office runs *while* the hospital works, so the whole dashboard
-//! sits on a [`SharedEngine`]: every view below is computed against one
-//! pinned epoch (a frozen database + warm engine), and each overnight
-//! batch is published with `session.ingest(..)` — the refresh-on-ingest
-//! loop at the end never blocks a dashboard that is mid-recomputation.
+//! sits on a one-shard [`ShardedEngine`]: every view below is computed
+//! against one pinned epoch vector (a frozen database + warm engine), and
+//! each overnight batch is published with `session.ingest(..)` — the
+//! refresh-on-ingest loop at the end never blocks a dashboard that is
+//! mid-recomputation.
 //! Clock-skewed accesses (a workstation stamping day 0) land in the
 //! timeline's explicit overflow bucket instead of silently inflating the
 //! compliance rate.
 //!
 //! Run with: `cargo run --release --example compliance_dashboard`
 
+use eba::audit::fake::FakeLog;
 use eba::audit::groups::{collaborative_groups, install_groups};
 use eba::audit::handcrafted::{same_group, EventTable, HandcraftedTemplates};
 use eba::audit::investigate::{diagnose, looks_like_snooping};
-use eba::audit::portal::misuse_summary_at;
-use eba::audit::timeline::{daily_stats_at, Timeline};
+use eba::audit::portal::misuse_summary_at_shards;
+use eba::audit::timeline::{daily_stats_at_shards, Timeline};
 use eba::audit::{split, Explainer};
 use eba::cluster::HierarchyConfig;
 use eba::core::LogSpec;
-use eba::relational::{Epoch, SharedEngine, Value};
+use eba::relational::{ShardKey, ShardedEngine, Value};
 use eba::synth::{Hospital, SynthConfig};
 
 fn print_timeline(timeline: &Timeline) {
@@ -76,25 +78,31 @@ fn main() {
     let explainer = Explainer::new(templates);
 
     // The long-running office session: the database moves into a
-    // snapshot-handoff cell; every view below pins one epoch, the ingest
-    // loop at the end publishes new ones.
-    let session = SharedEngine::new(hospital.db.clone());
-    let epoch = session.load();
+    // snapshot-handoff cell (one shard: the unsharded deployment); every
+    // view below pins one epoch vector, the ingest loop at the end
+    // publishes new ones.
+    let key = ShardKey {
+        table: spec.table,
+        col: spec.patient_col,
+    };
+    let session = ShardedEngine::new(hospital.db.clone(), key, 1);
+    let epochs = session.load();
+    let epoch = &epochs.shards()[0];
 
     // ---- 1. the timeline -----------------------------------------------
-    println!("== Daily explanation timeline (epoch {}) ==", epoch.seq());
-    let timeline = daily_stats_at(
+    println!("== Daily explanation timeline (epoch {}) ==", epochs.seq());
+    let timeline = daily_stats_at_shards(
         &spec,
         &hospital.log_cols,
         &explainer,
         hospital.config.days,
-        &epoch,
+        &epochs,
     );
     print_timeline(&timeline);
 
     // ---- 2. the triage queue -------------------------------------------
     println!("\n== Triage queue (top unexplained users) ==");
-    let queue = misuse_summary_at(&spec, &explainer, &epoch);
+    let queue = misuse_summary_at_shards(&spec, &explainer, &epochs);
     for s in queue.iter().take(5) {
         println!(
             "user {:<6} {:>4} unexplained accesses across {:>4} patients",
@@ -106,7 +114,7 @@ fn main() {
 
     // ---- 3. investigation: classify the unexplained ---------------------
     println!("\n== Investigation of unexplained accesses ==");
-    let unexplained = explainer.unexplained_rows_at(&spec, &epoch);
+    let unexplained = explainer.unexplained_rows_at_shards(&spec, &epochs);
     let mut snoop_like = 0usize;
     let mut data_gap = 0usize;
     for &rid in &unexplained {
@@ -157,19 +165,12 @@ fn main() {
         .collect();
     for round in 0..2u64 {
         let skewed = if round == 1 { 7 } else { 0 };
-        let (_, report) = session.ingest(|db| {
-            eba::audit::fake::FakeLog::inject(
-                db,
-                hospital.t_log,
-                &hospital.log_cols,
-                &users,
-                &patients,
-                150,
-                hospital.config.days,
-                0xD45_u64 + round,
-            );
+        let (_, report) = session.ingest(|batch| {
+            let lid = FakeLog::next_lid(batch.db(0), hospital.t_log, &hospital.log_cols);
+            let days = hospital.config.days;
+            FakeLog::stage(batch, &users, &patients, 150, days, 0xD45_u64 + round, lid);
             // The skewed workstation: same accesses, impossible day stamp.
-            let arity = db.table(hospital.t_log).schema().arity();
+            let arity = batch.db(0).table(hospital.t_log).schema().arity();
             for i in 0..skewed {
                 let mut row = vec![Value::Null; arity];
                 row[hospital.log_cols.lid] = Value::Int(900_000 + i);
@@ -178,28 +179,28 @@ fn main() {
                 row[hospital.log_cols.patient] = patients[i as usize % patients.len()];
                 row[hospital.log_cols.day] = Value::Int(0);
                 row[hospital.log_cols.is_first] = Value::Int(0);
-                db.insert(hospital.t_log, row).unwrap();
+                batch.insert_log(row).unwrap();
             }
         });
         // A refused incremental refresh (rebuild fallback) is an
         // operational event the office must hear about, not a flag to
         // silently absorb.
-        if let Some(warning) = report.fallback_warning() {
+        for warning in report.fallback_warnings() {
             eprintln!("!! {warning}");
         }
-        let epoch: std::sync::Arc<Epoch> = session.load();
-        let timeline = daily_stats_at(
+        let epochs = session.load();
+        let timeline = daily_stats_at_shards(
             &spec,
             &hospital.log_cols,
             &explainer,
             hospital.config.days,
-            &epoch,
+            &epochs,
         );
         println!(
             "\nepoch {}: +{} rows ingested ({} step maps kept warm across the handoff)",
             report.seq,
-            report.refresh.delta.new_rows,
-            epoch.engine().cached_step_maps(),
+            report.new_rows(),
+            epochs.shards()[0].engine().cached_step_maps(),
         );
         print_timeline(&timeline);
     }

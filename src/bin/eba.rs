@@ -572,15 +572,12 @@ fn cmd_investigate(opts: &Options) -> CliResult {
         add_groups(&mut loaded)?;
     }
     let explainer = build_explainer(&loaded, with_groups)?;
-    // The session engine: the loaded database moves into a snapshot-
-    // handoff cell and the whole investigation pins one epoch — a live
-    // deployment tailing the log would `session.ingest(...)` concurrently
-    // and this session would neither block it nor see a torn view.
+    // The investigation never ingests: one warm engine beside the loaded
+    // database answers every question against the same state.
     let spec = loaded.spec;
-    let session = eba::relational::SharedEngine::new(loaded.db);
-    let epoch = session.load();
-    let db = epoch.db();
-    let unexplained = explainer.unexplained_rows_at(&spec, &epoch);
+    let db = &loaded.db;
+    let engine = eba::relational::Engine::new(db);
+    let unexplained = explainer.unexplained_rows_with(db, &spec, &engine);
     let total = db.table(spec.table).len();
     println!(
         "{} of {} accesses unexplained ({:.1}%)",
@@ -601,7 +598,7 @@ fn cmd_investigate(opts: &Options) -> CliResult {
     );
     let top: usize = opts.parsed("top", 10);
     println!("\ntop users by unexplained accesses:");
-    let queue = eba::audit::portal::misuse_summary_at(&spec, &explainer, &epoch);
+    let queue = eba::audit::portal::misuse_summary_with(db, &spec, &explainer, &engine);
     for s in queue.iter().take(top) {
         println!(
             "  user {:<8} {:>5} unexplained across {:>5} patients",

@@ -15,7 +15,7 @@
 //! * [`core`] — explanation templates and mining algorithms (§2–3)
 //! * [`audit`] — user-centric auditing, misuse triage and evaluation (§5)
 //! * [`server`] — `eba-serve`: the concurrent audit service (line protocol
-//!   over TCP, epoch-pinned sessions on a `SharedEngine`)
+//!   over TCP, epoch-pinned sessions on a `ShardedEngine`)
 //! * [`experiments`] — per-figure/table reproduction of the evaluation
 //!
 //! ## Quickstart

@@ -8,10 +8,11 @@
 
 pub mod chaos;
 
+use eba::audit::fake::FakeLog;
 use eba::audit::handcrafted::HandcraftedTemplates;
 use eba::audit::Explainer;
 use eba::core::LogSpec;
-use eba::relational::{ChainQuery, StringPool, Table, Value};
+use eba::relational::{Batch, ChainQuery, ShardKey, ShardedBatch, StringPool, Table, Value};
 use eba::synth::{Hospital, SynthConfig};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -75,10 +76,19 @@ impl AuditWorld {
             .collect()
     }
 
+    /// The log partitioning a sharded engine over this world uses: the
+    /// spec's patient column, exactly what the serving layer uses.
+    pub fn key(&self) -> ShardKey {
+        ShardKey {
+            table: self.spec.table,
+            col: self.spec.patient_col,
+        }
+    }
+
     /// Appends one batch of fake accesses to `db` (the writer's ingest
     /// payload; deterministic per `seed`).
     pub fn inject_batch(&self, db: &mut eba::relational::Database, count: usize, seed: u64) {
-        eba::audit::fake::FakeLog::inject(
+        FakeLog::inject(
             db,
             self.hospital.t_log,
             &self.hospital.log_cols,
@@ -88,6 +98,44 @@ impl AuditWorld {
             self.hospital.config.days,
             seed,
         );
+    }
+
+    /// Stages the accesses [`AuditWorld::inject_batch`] would append to
+    /// the same log through a sharded ingest batch.
+    pub fn stage_batch(&self, batch: &mut ShardedBatch, count: usize, seed: u64) {
+        let (log, cols) = (self.hospital.t_log, &self.hospital.log_cols);
+        let next_lid = (0..batch.shard_count())
+            .map(|s| FakeLog::next_lid(batch.db(s), log, cols))
+            .max()
+            .expect("at least one shard");
+        let days = self.hospital.config.days;
+        FakeLog::stage(
+            batch,
+            &self.users,
+            &self.patients,
+            count,
+            days,
+            seed,
+            next_lid,
+        );
+    }
+}
+
+/// Replays one recovered durable batch of log rows through a sharded
+/// ingest batch, re-interning its strings through the batch so the shard
+/// pools stay aligned.
+pub fn replay_batch(batch: &mut ShardedBatch, recovered: &Batch) {
+    assert_eq!(
+        recovered.first_row,
+        batch.global_log_len() as u64,
+        "recovered batches replay in order"
+    );
+    for row in &recovered.rows {
+        let values = row
+            .iter()
+            .map(|v| v.to_value(|s| batch.str_value(s)))
+            .collect();
+        batch.insert_log(values).expect("recovered batches replay");
     }
 }
 

@@ -18,7 +18,7 @@ use eba::core::mining::{mine_one_way, mine_two_way, refine, DecorationCandidate}
 use eba::core::{LogSpec, MiningConfig};
 use eba::relational::{
     ChainQuery, ChainStep, CmpOp, DataType, Database, Engine, EvalOptions, RefreshError,
-    SharedEngine, TableId, Value,
+    ShardedEngine, TableId, Value,
 };
 use eba::synth::{Hospital, SynthConfig};
 use proptest::prelude::*;
@@ -591,8 +591,8 @@ proptest! {
 
 // ------------------------------------------------ concurrent snapshot handoff
 
-/// The tentpole guarantee: N reader threads query a [`SharedEngine`] while
-/// the writer appends + publishes. Every answer a reader observes must be
+/// The tentpole guarantee: N reader threads query a one-shard
+/// [`ShardedEngine`] while the writer appends + publishes. Every answer a reader observes must be
 /// exactly the answer of *some published epoch* — enforced by (a) epochs
 /// being internally consistent (engine result == row-evaluator result over
 /// the epoch's own frozen database), (b) sequence numbers moving only
@@ -606,21 +606,26 @@ fn shared_engine_readers_always_observe_a_published_epoch() {
     // Seal the seed data so the initial epoch already owns sealed
     // (Arc-shared) row segments — the segment-sharing assertions below
     // then cover real sharing, not empty prefixes.
-    let shared = SharedEngine::new({
-        let mut db = world.hospital.db.clone();
-        db.seal();
-        db
-    });
+    let shared = ShardedEngine::new(
+        {
+            let mut db = world.hospital.db.clone();
+            db.seal();
+            db
+        },
+        world.key(),
+        1,
+    );
     let rounds = 4u64;
     let epochs = common::EpochLog::new();
     // Pin down the initial epoch before any thread runs: under a loaded
     // scheduler the writer can publish seq 1 before a reader's first
     // load, and seq 0 would otherwise go unobserved.
-    epochs.observe(0, shared.load().db().table(spec.table).len());
+    epochs.observe(0, shared.load().global_log_len());
     // A pinned session: its epoch must answer byte-identically for the
     // whole run even though every newer epoch shares its sealed
     // segments (catches in-place mutation of a shared chunk).
-    let pinned = shared.load();
+    let pinned_vec = shared.load();
+    let pinned = &pinned_vec.shards()[0];
     let pinned_answers: Vec<Vec<eba::relational::RowId>> = suite
         .iter()
         .map(|q| {
@@ -644,7 +649,8 @@ fn shared_engine_readers_always_observe_a_published_epoch() {
         |_, done| {
             let mut last_seq = 0u64;
             common::reader_loop(done, |checked| {
-                let epoch = shared.load();
+                let vec = shared.load();
+                let epoch = vec.shards()[0].epoch();
                 assert!(epoch.seq() >= last_seq, "epoch went backwards");
                 last_seq = epoch.seq();
                 epochs.observe(epoch.seq(), epoch.db().table(spec.table).len());
@@ -682,12 +688,12 @@ fn shared_engine_readers_always_observe_a_published_epoch() {
         },
         || {
             for round in 0..rounds {
-                let (_, report) = shared.ingest(|db| {
-                    world.inject_batch(db, 25, 0xF00 + round);
+                let (_, report) = shared.ingest(|batch| {
+                    world.stage_batch(batch, 25, 0xF00 + round);
                 });
                 assert_eq!(report.seq, round + 1);
-                assert!(report.rebuilt.is_none());
-                epochs.observe(report.seq, shared.load().db().table(spec.table).len());
+                assert!(!report.rebuilt_any());
+                epochs.observe(report.seq, shared.load().global_log_len());
             }
         },
     );
@@ -698,8 +704,8 @@ fn shared_engine_readers_always_observe_a_published_epoch() {
     let last = shared.load();
     assert_eq!(last.seq(), rounds);
     assert_eq!(
-        world.explainer.explained_rows_at(spec, &last),
-        world.explainer.explained_rows(last.db(), spec)
+        world.explainer.explained_rows_at_shards(spec, &last),
+        world.explainer.explained_rows(last.shards()[0].db(), spec)
     );
 }
 

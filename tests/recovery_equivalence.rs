@@ -2,8 +2,9 @@
 //! segment pile.
 //!
 //! Every test drives the same deterministic ingest workload twice — once
-//! through a purely in-memory [`SharedEngine`] (the oracle) and once
-//! through an engine whose persist hook appends to a [`DurableStore`] —
+//! into a plain in-memory [`Database`] answered by a cold [`Engine`] per
+//! epoch (the oracle) and once through a one-shard [`ShardedEngine`]
+//! whose persist hook appends to a [`DurableStore`] —
 //! then "crashes" (tears the store's media mid-write with [`FaultAfter`],
 //! or just drops the store), "restarts" (re-opens the surviving bytes),
 //! replays the recovered batches one publication at a time, and asserts
@@ -29,10 +30,10 @@ mod common;
 
 use common::AuditWorld;
 use eba::audit::metrics;
-use eba::relational::pile::{default_checkpoint_rows, plain_batch, replay_into};
+use eba::relational::pile::{default_checkpoint_rows, plain_batch};
 use eba::relational::{
-    Batch, Durability, DurableStore, Epoch, EvalOptions, FaultAfter, Media, PileError, PlainValue,
-    SharedEngine, SharedMem, Value,
+    Batch, Database, Durability, DurableStore, Engine, EvalOptions, FaultAfter, Media, PileError,
+    PlainValue, ShardedEngine, SharedMem, Value,
 };
 use std::path::PathBuf;
 
@@ -44,25 +45,25 @@ const CHECKPOINT_ROWS: usize = 4;
 
 // ---------------------------------------------------------------- harness
 
-/// The full audit answer for one epoch, rendered to text: per suite query
-/// the support count and the exact explained row ids, plus the confusion
-/// counts behind recall/precision. Two epochs answer identically iff
-/// their transcripts are byte-identical.
-fn transcript(world: &AuditWorld, epoch: &Epoch) -> String {
+/// The full audit answer for one epoch whose state is `db`, rendered to
+/// text by a cold engine: per suite query the support count and the
+/// exact explained row ids, plus the confusion counts behind
+/// recall/precision. Two epochs answer identically iff their transcripts
+/// are byte-identical.
+fn transcript(world: &AuditWorld, db: &Database) -> String {
+    let engine = Engine::new(db);
     let mut out = String::new();
     for (i, q) in world.suite().iter().enumerate() {
-        let rows = epoch
-            .engine()
-            .explained_rows(epoch.db(), q, EvalOptions::default())
+        let rows = engine
+            .explained_rows(db, q, EvalOptions::default())
             .expect("suite query evaluates");
-        let support = epoch
-            .engine()
-            .support(epoch.db(), q, EvalOptions::default())
+        let support = engine
+            .support(db, q, EvalOptions::default())
             .expect("suite query evaluates");
         out.push_str(&format!("q{i} support {support} rows {rows:?}\n"));
     }
     let templates: Vec<_> = world.explainer.templates().iter().collect();
-    let c = metrics::evaluate_at(&world.spec, &templates, None, None, epoch);
+    let c = metrics::evaluate_with(db, &world.spec, &templates, None, None, &engine);
     out.push_str(&format!(
         "confusion real {}/{} fake {}/{} with_events {}\n",
         c.real_explained, c.real_total, c.fake_explained, c.fake_total, c.real_with_events
@@ -99,15 +100,15 @@ fn batch_seed(b: usize) -> u64 {
     0xFA11 + b as u64
 }
 
-/// The oracle: ingest every batch through a volatile engine and record
-/// the transcript after each publication. `out[k]` is the answer after
+/// The oracle: append every batch to a volatile database in place and
+/// record the transcript after each one. `out[k]` is the answer after
 /// `k` batches (`out[0]` is the base epoch).
 fn oracle_transcripts(world: &AuditWorld) -> Vec<String> {
-    let shared = SharedEngine::new(world.hospital.db.clone());
-    let mut out = vec![transcript(world, &shared.load())];
+    let mut db = world.hospital.db.clone();
+    let mut out = vec![transcript(world, &db)];
     for b in 0..BATCHES {
-        shared.ingest(|db| world.inject_batch(db, BATCH_ROWS, batch_seed(b)));
-        out.push(transcript(world, &shared.load()));
+        world.inject_batch(&mut db, BATCH_ROWS, batch_seed(b));
+        out.push(transcript(world, &db));
     }
     out
 }
@@ -129,16 +130,17 @@ fn durable_run(
         return 0; // the tear hit the file headers — nothing was ever acked
     };
     assert!(recovered.is_empty(), "the sweep starts from empty media");
-    let shared = SharedEngine::new(world.hospital.db.clone());
+    let shared = ShardedEngine::new(world.hospital.db.clone(), world.key(), 1);
     let mut acked = 0;
     for b in 0..BATCHES {
         let result = shared.ingest_with(
-            |db| {
-                let first = db.table(world.spec.table).len() as u64;
-                world.inject_batch(db, BATCH_ROWS, batch_seed(b));
+            |batch| {
+                let first = batch.global_log_len() as u64;
+                world.stage_batch(batch, BATCH_ROWS, batch_seed(b));
                 first
             },
-            |db, &first, seq| {
+            |batch, &first, seq| {
+                let db = batch.db(0);
                 let table = db.table(world.spec.table);
                 let rows: Vec<Vec<Value>> = (first..table.len() as u64)
                     .map(|r| table.row(r as u32).to_vec())
@@ -173,13 +175,11 @@ fn recover_and_replay(
     )
     .expect("recovery tolerates torn tails; it must not fail");
     assert_eq!(report.batches(), batches.len(), "{}", report.summary());
-    let shared = SharedEngine::new(world.hospital.db.clone());
-    let mut transcripts = vec![transcript(world, &shared.load())];
-    for batch in &batches {
-        shared.ingest(|db| {
-            replay_into(db, std::slice::from_ref(batch)).expect("recovered batches replay")
-        });
-        transcripts.push(transcript(world, &shared.load()));
+    let shared = ShardedEngine::new(world.hospital.db.clone(), world.key(), 1);
+    let mut transcripts = vec![transcript_shards(world, &shared.load())];
+    for recovered in &batches {
+        shared.ingest(|batch| common::replay_batch(batch, recovered));
+        transcripts.push(transcript_shards(world, &shared.load()));
     }
     (transcripts, batches.len())
 }

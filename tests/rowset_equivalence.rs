@@ -446,14 +446,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The fused driver equals the per-template path per slot and in
-    /// union, on random worlds, under both dedup settings — and the
-    /// row-set algebra over the evaluated sets equals a sorted-Vec
-    /// reference.
+    /// union, on random worlds, under both dedup settings — over the
+    /// whole log, over a random anchor-row range, and over a random
+    /// scattered anchor-row set (each restricted answer is the reference
+    /// intersected with the domain) — and the row-set algebra over the
+    /// evaluated sets equals a sorted-Vec reference.
     #[test]
-    fn fused_driver_and_rowset_algebra_match_references(w in random_world()) {
+    fn fused_driver_and_rowset_algebra_match_references(
+        w in random_world(),
+        range in (0..40usize, 0..20usize),
+        runs in prop::collection::vec((0..45u32, 0..5u32), 0..6),
+    ) {
         let (db, log, event, team) = materialize(&w);
         let engine = Engine::new(&db);
         let queries = query_classes(log, event, team);
+        // A range that may be empty or run past the log's end, and a
+        // scattered set of runs and singletons that may name rows past
+        // the log (or be empty).
+        let (lo, hi) = (range.0, range.0 + range.1);
+        let scattered: BTreeSet<RowId> = runs.iter().flat_map(|&(s, n)| s..s + n).collect();
+        let rows = RowSet::from_sorted_vec(&scattered.iter().copied().collect::<Vec<_>>());
         for dedup in [true, false] {
             let opts = EvalOptions { dedup };
             let reference: Vec<Vec<RowId>> = queries
@@ -466,6 +478,30 @@ proptest! {
                 let set = set.unwrap();
                 prop_assert_eq!(&set.to_vec(), expect, "q{} (dedup={})", i, dedup);
                 sets.push(set);
+            }
+            let ranged = engine.eval_suite_range(&db, &queries, opts, lo, hi);
+            for (i, (set, expect)) in ranged.into_iter().zip(&reference).enumerate() {
+                let expect: Vec<RowId> = expect
+                    .iter()
+                    .copied()
+                    .filter(|&r| (lo..hi).contains(&(r as usize)))
+                    .collect();
+                prop_assert_eq!(
+                    set.unwrap().to_vec(), expect,
+                    "q{} over [{}, {}) (dedup={})", i, lo, hi, dedup
+                );
+            }
+            let restricted = engine.eval_suite_rows(&db, &queries, opts, &rows);
+            for (i, (set, expect)) in restricted.into_iter().zip(&reference).enumerate() {
+                let expect: Vec<RowId> = expect
+                    .iter()
+                    .copied()
+                    .filter(|r| scattered.contains(r))
+                    .collect();
+                prop_assert_eq!(
+                    set.unwrap().to_vec(), expect,
+                    "q{} over {:?} (dedup={})", i, scattered, dedup
+                );
             }
             // Union: fused vs BTreeSet reference.
             let union_ref: Vec<RowId> = reference

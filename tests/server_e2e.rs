@@ -8,7 +8,7 @@
 //! * **epoch pinning**: a session's `METRICS`/`TIMELINE`/`UNEXPLAINED`/
 //!   `EXPLAIN` answers are *byte-identical* before and after a
 //!   concurrent `INGEST` publishes a new epoch, until the session says
-//!   `REPIN` — and every answer matches the library-level `*_at` result
+//!   `REPIN` — and every answer matches the library-level `*_at_shards` result
 //!   for the pinned epoch's seq;
 //! * concurrent sessions vs an ingesting writer always observe published
 //!   epochs (the same invariant `tests/engine_equivalence.rs` checks at
@@ -28,7 +28,7 @@ use std::sync::OnceLock;
 mod common;
 
 /// Spawns a server over a fresh tiny world, returning both so tests can
-/// compare wire answers against library-level `*_at` answers.
+/// compare wire answers against library-level `*_at_shards` answers.
 fn spawn_world_server(seed: u64) -> (common::AuditWorld, Server) {
     let world = common::AuditWorld::tiny(seed);
     // Seal the seed data: the served epoch then owns sealed (Arc-shared)
@@ -268,7 +268,7 @@ fn sharded_server_matches_single_shard_server_over_the_wire() {
 
 /// The tentpole acceptance test: a pinned session's answers are
 /// byte-identical before and after a concurrent `INGEST` publishes a new
-/// epoch, they match the library `*_at` answers for the pinned seq, and
+/// epoch, they match the library `*_at_shards` answers for the pinned seq, and
 /// `REPIN` moves the session to the new epoch's (library-identical)
 /// answers.
 #[test]
@@ -301,8 +301,8 @@ fn pinned_session_is_byte_stable_across_ingest_until_repin() {
     let before = ask_all(&mut session);
 
     // Wire answers == library `*_at_shards` answers for the pinned epoch
-    // vector (at EBA_TEST_SHARDS=1 this is exactly the old single-epoch
-    // `*_at` comparison — the scatter-gather layer proves the rest).
+    // vector (at EBA_TEST_SHARDS=1 this is the unsharded deployment —
+    // the scatter-gather layer proves the rest).
     let assert_matches_library = |rendered: &[String], epochs: &eba::relational::EpochVec| {
         let suite: Vec<&eba::core::ExplanationTemplate> =
             world.explainer.templates().iter().collect();
@@ -549,7 +549,7 @@ fn concurrent_socket_sessions_always_observe_published_epochs() {
 
 /// Satellite: clock-skewed ingests (day 0, day beyond the window, no day
 /// at all) must surface in the server's `TIMELINE` overflow bucket — and
-/// the wire numbers must equal the epoch-pinned `daily_stats_at` view.
+/// the wire numbers must equal the epoch-pinned `daily_stats_at_shards` view.
 #[test]
 fn timeline_overflow_is_served_over_the_wire() {
     let (world, server) = spawn_world_server(43);
@@ -593,7 +593,7 @@ fn timeline_overflow_is_served_over_the_wire() {
     );
 
     // The wire response equals the library's epoch-pinned view, line by
-    // line (this is the daily_stats_at path, not the direct call).
+    // line (this is the daily_stats_at_shards path, not the direct call).
     let epochs = server.service().sharded().load();
     let t = timeline::daily_stats_at_shards(
         &world.spec,

@@ -1,6 +1,8 @@
 //! The sharding proof: a differential suite pitting [`ShardedEngine`]
-//! at shard counts {1, 2, 4} against the unsharded [`SharedEngine`]
-//! oracle, **byte for byte** across the whole audit surface.
+//! at shard counts {1, 2, 4} against an unsharded oracle — a plain
+//! [`Database`] mutated in place, answered by a cold [`Engine`] per
+//! epoch, sharing no publication code with the engine under test —
+//! **byte for byte** across the whole audit surface.
 //!
 //! Every test renders the full audit answer — per-query support and
 //! explained global row ids, the unexplained list, the recall/precision
@@ -22,9 +24,7 @@ mod common;
 
 use common::AuditWorld;
 use eba::audit::{metrics, portal, timeline};
-use eba::relational::{
-    Database, Epoch, EpochVec, EvalOptions, ShardKey, ShardedEngine, SharedEngine, Value,
-};
+use eba::relational::{Database, Engine, EpochVec, EvalOptions, ShardKey, ShardedEngine, Value};
 use proptest::prelude::*;
 
 /// The partition key every test shards by — the spec's patient column,
@@ -104,56 +104,51 @@ fn render(
     out
 }
 
-/// The oracle's transcript at one epoch.
-fn oracle_transcript(world: &AuditWorld, epoch: &Epoch) -> String {
+/// The oracle's transcript at epoch `seq`, whose state is `db`: a cold
+/// engine built for this epoch alone answers every view.
+fn oracle_transcript(world: &AuditWorld, seq: u64, db: &Database) -> String {
     let spec = &world.spec;
+    let engine = Engine::new(db);
     let per_query = world
         .suite()
         .iter()
         .map(|q| {
             (
-                epoch
-                    .engine()
-                    .support(epoch.db(), q, EvalOptions::default())
+                engine
+                    .support(db, q, EvalOptions::default())
                     .expect("suite evaluates"),
-                epoch
-                    .engine()
-                    .explained_rows(epoch.db(), q, EvalOptions::default())
+                engine
+                    .explained_rows(db, q, EvalOptions::default())
                     .expect("suite evaluates"),
             )
         })
         .collect();
-    let unexplained = world.explainer.unexplained_rows_at(spec, epoch);
+    let unexplained = world.explainer.unexplained_rows_with(db, spec, &engine);
     let templates: Vec<_> = world.explainer.templates().iter().collect();
-    let confusion = metrics::evaluate_at(spec, &templates, None, None, epoch);
-    let t = timeline::daily_stats_at(
+    let confusion = metrics::evaluate_with(db, spec, &templates, None, None, &engine);
+    let t = timeline::daily_stats_with(
+        db,
         spec,
         &world.hospital.log_cols,
         &world.explainer,
         world.hospital.config.days,
-        epoch,
+        &engine,
     );
-    let misuse = portal::misuse_summary_at(spec, &world.explainer, epoch);
+    let misuse = portal::misuse_summary_with(db, spec, &world.explainer, &engine);
     let reports: Vec<PatientReport> = report_patients(world)
         .iter()
         .map(|&p| {
-            portal::patient_report(
-                epoch.db(),
-                spec,
-                &world.hospital.log_cols,
-                &world.explainer,
-                p,
-            )
-            .expect("report evaluates")
-            .into_iter()
-            .map(|e| (e.row, e.lid, e.date, e.user, e.display_text().to_string()))
-            .collect()
+            portal::patient_report(db, spec, &world.hospital.log_cols, &world.explainer, p)
+                .expect("report evaluates")
+                .into_iter()
+                .map(|e| (e.row, e.lid, e.date, e.user, e.display_text().to_string()))
+                .collect()
         })
         .collect();
     render(
         world,
-        epoch.seq(),
-        epoch.db().table(spec.table).len(),
+        seq,
+        db.table(spec.table).len(),
         per_query,
         unexplained,
         &confusion,
@@ -221,6 +216,21 @@ fn sharded_transcript(world: &AuditWorld, epochs: &EpochVec) -> String {
     )
 }
 
+/// Applies `mutate` to the oracle database in place and returns the log
+/// rows it appended — the batch the sharded engine ingests next.
+fn grow_oracle(
+    world: &AuditWorld,
+    oracle: &mut Database,
+    mutate: impl FnOnce(&mut Database),
+) -> Vec<Vec<Value>> {
+    let before = oracle.table(world.spec.table).len();
+    mutate(oracle);
+    let log = oracle.table(world.spec.table);
+    (before..log.len())
+        .map(|r| log.row(r as u32).to_vec())
+        .collect()
+}
+
 /// Ingests `rows` (already valid against the oracle's database, strings
 /// re-interned through the batch so shard pools stay aligned) into the
 /// sharded engine.
@@ -243,11 +253,11 @@ fn ingest_rows(sharded: &ShardedEngine, source: &Database, rows: &[Vec<Value>]) 
 /// sequence, comparing transcripts at every epoch and re-checking every
 /// pinned vector at the end (the mid-ingest pinning guarantee).
 fn run_differential(world: &AuditWorld, n_shards: usize, batches: &[(usize, u64)]) {
-    let oracle = SharedEngine::new(world.hospital.db.clone());
+    let mut oracle = world.hospital.db.clone();
     let sharded = ShardedEngine::new(world.hospital.db.clone(), key(world), n_shards);
 
     let mut pinned: Vec<(std::sync::Arc<EpochVec>, String)> = Vec::new();
-    let expect = oracle_transcript(world, &oracle.load());
+    let expect = oracle_transcript(world, 0, &oracle);
     assert_eq!(
         sharded_transcript(world, &sharded.load()),
         expect,
@@ -258,19 +268,18 @@ fn run_differential(world: &AuditWorld, n_shards: usize, batches: &[(usize, u64)
     for (b, &(count, seed)) in batches.iter().enumerate() {
         // The oracle ingests the canonical batch; the sharded engine gets
         // the exact same rows, routed by hash.
-        let before = oracle.load().db().table(world.spec.table).len();
-        oracle.ingest(|db| world.inject_batch(db, count, seed));
-        let epoch = oracle.load();
-        let log = epoch.db().table(world.spec.table);
-        let rows: Vec<Vec<Value>> = (before..log.len())
-            .map(|r| log.row(r as u32).to_vec())
-            .collect();
-        ingest_rows(&sharded, epoch.db(), &rows);
+        let rows = grow_oracle(world, &mut oracle, |db| world.inject_batch(db, count, seed));
+        ingest_rows(&sharded, &oracle, &rows);
 
+        let seq = b as u64 + 1;
         let vec = sharded.load();
-        assert_eq!(vec.seq(), epoch.seq(), "batch {b}");
-        assert_eq!(vec.global_log_len(), log.len(), "batch {b}");
-        let expect = oracle_transcript(world, &epoch);
+        assert_eq!(vec.seq(), seq, "batch {b}");
+        assert_eq!(
+            vec.global_log_len(),
+            oracle.table(world.spec.table).len(),
+            "batch {b}"
+        );
+        let expect = oracle_transcript(world, seq, &oracle);
         assert_eq!(
             sharded_transcript(world, &vec),
             expect,
@@ -328,7 +337,7 @@ fn one_shard_is_the_single_engine() {
 #[test]
 fn all_new_rows_in_one_shard_still_match_the_oracle() {
     let world = AuditWorld::tiny(47);
-    let oracle = SharedEngine::new(world.hospital.db.clone());
+    let mut oracle = world.hospital.db.clone();
     let sharded = ShardedEngine::new(world.hospital.db.clone(), key(&world), 4);
     let patient = world.patients[0];
     let shard_counts_before: Vec<usize> = sharded
@@ -343,8 +352,7 @@ fn all_new_rows_in_one_shard_still_match_the_oracle() {
     };
 
     for round in 0..3u64 {
-        let before = oracle.load().db().table(world.spec.table).len();
-        oracle.ingest(|db| {
+        let rows = grow_oracle(&world, &mut oracle, |db| {
             // Hand-rolled skewed batch: distinct lids, one patient.
             let cols = &world.hospital.log_cols;
             let arity = db.table(world.spec.table).schema().arity();
@@ -357,12 +365,7 @@ fn all_new_rows_in_one_shard_still_match_the_oracle() {
                 db.insert(world.spec.table, row).expect("valid row");
             }
         });
-        let epoch = oracle.load();
-        let log = epoch.db().table(world.spec.table);
-        let rows: Vec<Vec<Value>> = (before..log.len())
-            .map(|r| log.row(r as u32).to_vec())
-            .collect();
-        ingest_rows(&sharded, epoch.db(), &rows);
+        ingest_rows(&sharded, &oracle, &rows);
 
         let vec = sharded.load();
         // All 30-so-far new rows landed on the patient's shard; every
@@ -378,7 +381,7 @@ fn all_new_rows_in_one_shard_still_match_the_oracle() {
         }
         assert_eq!(
             sharded_transcript(&world, &vec),
-            oracle_transcript(&world, &epoch),
+            oracle_transcript(&world, round + 1, &oracle),
             "skewed round {round} diverged"
         );
     }
@@ -402,25 +405,19 @@ fn empty_shards_answer_like_the_oracle() {
         }
     }
     let (n, sharded) = chosen.expect("some shard count yields an empty shard");
-    let oracle = SharedEngine::new(world.hospital.db.clone());
+    let mut oracle = world.hospital.db.clone();
     assert_eq!(
         sharded_transcript(&world, &sharded.load()),
-        oracle_transcript(&world, &oracle.load()),
+        oracle_transcript(&world, 0, &oracle),
         "{n} shards (with an empty shard) diverged at the base epoch"
     );
 
     // Ingest through the empty-shard layout and re-verify.
-    let before = oracle.load().db().table(world.spec.table).len();
-    oracle.ingest(|db| world.inject_batch(db, 20, 0xE0));
-    let epoch = oracle.load();
-    let log = epoch.db().table(world.spec.table);
-    let rows: Vec<Vec<Value>> = (before..log.len())
-        .map(|r| log.row(r as u32).to_vec())
-        .collect();
-    ingest_rows(&sharded, epoch.db(), &rows);
+    let rows = grow_oracle(&world, &mut oracle, |db| world.inject_batch(db, 20, 0xE0));
+    ingest_rows(&sharded, &oracle, &rows);
     assert_eq!(
         sharded_transcript(&world, &sharded.load()),
-        oracle_transcript(&world, &epoch),
+        oracle_transcript(&world, 1, &oracle),
         "{n} shards (with an empty shard) diverged after ingest"
     );
 }
@@ -434,28 +431,21 @@ fn pinned_vectors_are_byte_stable_under_concurrent_ingest() {
     let world = AuditWorld::tiny(59);
     let n_shards = common::test_shards().max(2);
     let sharded = ShardedEngine::new(world.hospital.db.clone(), key(&world), n_shards);
-    let oracle = SharedEngine::new(world.hospital.db.clone());
+    let mut oracle = world.hospital.db.clone();
     let rounds = 4u64;
     let per_batch = 15usize;
     let base_len = world.hospital.log_len();
 
     // Pre-compute each epoch's oracle transcript so readers can check
     // whatever seq they observe without racing the oracle itself.
-    let mut oracle_by_seq = vec![oracle_transcript(&world, &oracle.load())];
+    let mut oracle_by_seq = vec![oracle_transcript(&world, 0, &oracle)];
     let mut batches: Vec<Vec<Vec<Value>>> = Vec::new();
     for round in 0..rounds {
-        let before = oracle.load().db().table(world.spec.table).len();
-        oracle.ingest(|db| world.inject_batch(db, per_batch, 0xC0 + round));
-        let epoch = oracle.load();
-        let log = epoch.db().table(world.spec.table);
-        batches.push(
-            (before..log.len())
-                .map(|r| log.row(r as u32).to_vec())
-                .collect(),
-        );
-        oracle_by_seq.push(oracle_transcript(&world, &epoch));
+        batches.push(grow_oracle(&world, &mut oracle, |db| {
+            world.inject_batch(db, per_batch, 0xC0 + round)
+        }));
+        oracle_by_seq.push(oracle_transcript(&world, round + 1, &oracle));
     }
-    let source = oracle.load();
 
     common::readers_vs_writer(
         3,
@@ -493,7 +483,7 @@ fn pinned_vectors_are_byte_stable_under_concurrent_ingest() {
         },
         || {
             for rows in &batches {
-                ingest_rows(&sharded, source.db(), rows);
+                ingest_rows(&sharded, &oracle, rows);
             }
         },
     );

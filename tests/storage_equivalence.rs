@@ -28,7 +28,7 @@
 use eba::relational::segment::{copied_bytes, reset_copied_bytes};
 use eba::relational::{
     ChainQuery, ChainStep, CmpOp, DataType, Database, Engine, EvalOptions, RefreshError, Rhs,
-    SharedEngine, StepFilter, TableId, Value,
+    ShardKey, ShardedBatch, ShardedEngine, StepFilter, TableId, Value,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -78,6 +78,12 @@ struct World {
     event: TableId,
     team: TableId,
     depts: [Value; 3],
+}
+
+/// A one-shard publication cell over `db`, partitioned by `log`'s
+/// patient column.
+fn one_shard(db: Database, log: TableId) -> ShardedEngine {
+    ShardedEngine::new(db, ShardKey { table: log, col: 2 }, 1)
 }
 
 /// Creates the three-table schema with the given segment capacity,
@@ -377,7 +383,7 @@ proptest! {
 
     /// Satellite: a refused refresh (`TableShrank` / `CatalogShrank`)
     /// leaves a **segmented** engine answering byte-identically, and the
-    /// `SharedEngine` full-rebuild fallback publishes answers
+    /// publication cell's full-rebuild fallback publishes answers
     /// byte-identical to a from-scratch engine.
     #[test]
     fn refused_refresh_and_rebuild_fallback_on_segmented_storage(
@@ -440,19 +446,21 @@ proptest! {
         prop_assert!(matches!(err, RefreshError::CatalogShrank { .. }), "{err:?}");
         prop_assert_eq!(&answers(&engine, &wider), &before, "CatalogShrank left damage");
 
-        // SharedEngine rebuild fallback: a mutator that *replaces* state
-        // (shrinking the log) refuses the incremental path; the published
-        // epoch must answer byte-identically to a from-scratch engine
-        // over the same database, and the warning must fire.
-        let shared = SharedEngine::new(seg.db.clone());
-        let pinned = shared.load();
+        // Rebuild fallback: a replacement of the state (shrinking the
+        // log) refuses the incremental path; the published epoch must
+        // answer byte-identically to a from-scratch engine over the same
+        // database, and the warning must fire. Ingest batches only
+        // append, so a replacement is the one way to reach a rebuild.
+        let shared = one_shard(seg.db.clone(), seg.log);
+        let pinned_vec = shared.load();
+        let pinned = pinned_vec.shards()[0].epoch();
         let pinned_before = answers(pinned.engine(), pinned.db());
-        let replacement = shorter.clone();
-        let (_, report) = shared.ingest(move |db| *db = replacement);
-        prop_assert!(report.rebuilt.is_some(), "replacement must refuse the incremental path");
-        let warning = report.fallback_warning().expect("fallback warns");
+        let report = shared.replace(shorter.clone());
+        prop_assert!(report.rebuilt_any(), "replacement must refuse the incremental path");
+        let warning = report.fallback_warnings().pop().expect("fallback warns");
         prop_assert!(warning.contains("rebuilding"), "{warning}");
-        let epoch = shared.load();
+        let vec = shared.load();
+        let epoch = vec.shards()[0].epoch();
         let fresh = Engine::new(epoch.db());
         prop_assert_eq!(
             answers(epoch.engine(), epoch.db()),
@@ -501,10 +509,11 @@ fn sealed_segments_are_pointer_shared_across_epochs() {
     let w = populated_world();
     let queries = query_classes(&w);
     let opts = EvalOptions::default();
-    let shared = SharedEngine::new(w.db.clone());
+    let shared = one_shard(w.db.clone(), w.log);
 
     // Warm the epoch's caches, then pin it and record its answers.
-    let pinned = shared.load();
+    let pinned_vec = shared.load();
+    let pinned = pinned_vec.shards()[0].epoch();
     let pinned_answers: Vec<Vec<u32>> = queries
         .iter()
         .map(|(_, q)| {
@@ -519,25 +528,23 @@ fn sealed_segments_are_pointer_shared_across_epochs() {
         "the populated world spans sealed segments"
     );
 
-    let mut prev = shared.load();
+    let mut prev = shared.load().shards()[0].epoch().clone();
     for round in 0..6i64 {
-        shared.ingest(|db| {
+        shared.ingest(|batch| {
             for i in 0..5 {
                 let lid = 1000 + round * 5 + i;
-                db.insert(
-                    w.log,
-                    vec![
+                batch
+                    .insert_log(vec![
                         Value::Int(lid),
                         Value::Int(lid % 5),
                         Value::Int(lid % 7),
                         Value::Null,
                         Value::Date(lid % 9),
-                    ],
-                )
-                .unwrap();
+                    ])
+                    .unwrap();
             }
         });
-        let next = shared.load();
+        let next = shared.load().shards()[0].epoch().clone();
         for tid in [w.log, w.event, w.team] {
             // Database row segments: every sealed segment of the prior
             // epoch is present by pointer in the successor.
@@ -580,7 +587,8 @@ fn sealed_segments_are_pointer_shared_across_epochs() {
         );
     }
     // And the latest epoch matches a flat oracle of everything ingested.
-    let latest = shared.load();
+    let latest_vec = shared.load();
+    let latest = latest_vec.shards()[0].epoch();
     let fresh = Engine::new(latest.db());
     for (name, q) in &queries {
         assert_eq!(
@@ -597,36 +605,33 @@ fn sealed_segments_are_pointer_shared_across_epochs() {
 #[test]
 fn publication_copies_scale_with_the_batch_not_the_database() {
     let w = populated_world();
-    let shared = SharedEngine::new(w.db.clone());
+    let shared = one_shard(w.db.clone(), w.log);
     // Warm the caches the way a live auditor would.
     let opts = EvalOptions::default();
     for (_, q) in query_classes(&w) {
-        let epoch = shared.load();
-        let _ = epoch.engine().explained_rows(epoch.db(), &q, opts).unwrap();
+        let _ = shared.load().explained_rows(&q, opts).unwrap();
     }
 
     let batch = |round: i64| {
-        move |db: &mut Database| {
+        move |batch: &mut ShardedBatch| {
             for i in 0..8i64 {
                 let lid = 10_000 + round * 8 + i;
-                db.insert(
-                    w.log,
-                    vec![
+                batch
+                    .insert_log(vec![
                         Value::Int(lid),
                         Value::Int(lid % 5),
                         Value::Int(lid % 7),
                         Value::Null,
                         Value::Date(lid % 9),
-                    ],
-                )
-                .unwrap();
+                    ])
+                    .unwrap();
             }
         }
     };
 
     // Publication cost of one batch on the small database (median of a
     // few rounds, so tail-fill phase doesn't skew a single reading).
-    let cost_of = |shared: &SharedEngine, round: &mut i64, rounds: i64| -> u64 {
+    let cost_of = |shared: &ShardedEngine, round: &mut i64, rounds: i64| -> u64 {
         let mut costs = Vec::new();
         for _ in 0..rounds {
             reset_copied_bytes();
@@ -641,12 +646,12 @@ fn publication_copies_scale_with_the_batch_not_the_database() {
     let small_cost = cost_of(&shared, &mut round, 5);
 
     // Grow the database ~10x, then measure the same batch again.
-    let before_rows = shared.load().db().table(w.log).len();
+    let before_rows = shared.load().global_log_len();
     for _ in 0..110 {
         shared.ingest(batch(round));
         round += 1;
     }
-    let grown_rows = shared.load().db().table(w.log).len();
+    let grown_rows = shared.load().global_log_len();
     assert!(
         grown_rows >= before_rows * 10,
         "{before_rows} -> {grown_rows}"
@@ -662,7 +667,8 @@ fn publication_copies_scale_with_the_batch_not_the_database() {
 
     // >=5x below what flat storage would copy per epoch: every Value
     // cell (database clone) plus every interned u32 cell (engine fork).
-    let epoch = shared.load();
+    let vec = shared.load();
+    let epoch = vec.shards()[0].epoch();
     let mut flat_bytes = 0u64;
     for tid in [w.log, w.event, w.team] {
         let t = epoch.db().table(tid);

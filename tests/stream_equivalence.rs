@@ -8,8 +8,8 @@
 //!
 //! * proptest-driven ingest schedules (batch sizes include 0 — an empty
 //!   publication): after every batch, the live engine's maintained
-//!   partition renders byte-for-byte equal to a brand-new engine that
-//!   pins the same suite cold over the same database — anchors,
+//!   partition renders byte-for-byte equal to a cold recompute by a
+//!   brand-new unsharded engine over the same database — anchors,
 //!   explained, unexplained, the `UNEXPLAINED` page shape, and the
 //!   `METRICS` confusion line all match;
 //! * a fixed schedule that grows dimension tables, not just the log:
@@ -33,7 +33,7 @@ use eba::audit::{collaborative_groups, install_groups, metrics, Explainer};
 use eba::cluster::HierarchyConfig;
 use eba::core::{ExplanationTemplate, LogSpec, Path};
 use eba::relational::{
-    DataType, Database, Maintained, ShardKey, ShardedEngine, SharedEngine, TableId, Value,
+    DataType, Database, Engine, Maintained, RowSet, ShardKey, ShardedEngine, TableId, Value,
 };
 use eba::server::{AuditService, Client, IngestRow, Server, EVENT_QUEUE_CAP};
 use eba::synth::{Hospital, SynthConfig};
@@ -77,20 +77,22 @@ fn render_maintained(m: &Maintained, seq: u64) -> String {
     out
 }
 
-/// Cold oracle: a brand-new sharded engine over the same database pins
-/// the same suite from scratch (pinning materializes the partition with
-/// the from-scratch path, not the incremental one).
-fn cold_maintained(
-    db: &Database,
-    world: &AuditWorld,
-    n_shards: usize,
-) -> std::sync::Arc<Maintained> {
-    let cold = ShardedEngine::new(db.clone(), key(world), n_shards);
-    let pin = cold.pin_suite(world.explainer.suite_pin(&world.spec));
-    let vec = cold.load();
-    vec.maintained(pin)
-        .expect("pin_suite publishes the maintained partition")
-        .clone()
+/// Cold oracle: a brand-new unsharded engine over the same database
+/// evaluates the suite from scratch — no publication cell, no
+/// maintenance code.
+fn cold_maintained(db: &Database, world: &AuditWorld) -> Maintained {
+    let spec = &world.spec;
+    let pin = world.explainer.suite_pin(spec);
+    let anchors = RowSet::from_sorted_vec(&metrics::anchor_rows(db, spec));
+    // A template stepping into a table not created yet explains nothing.
+    let suite = Engine::new(db).eval_suite(db, &pin.queries, pin.opts);
+    let explained = RowSet::union_all(suite.into_iter().flatten());
+    Maintained {
+        unexplained: anchors.difference(&explained),
+        anchors,
+        explained,
+        log_len: db.table(spec.table).len(),
+    }
 }
 
 /// Ingests `rows` (strings re-interned through the batch so shard pools
@@ -134,21 +136,21 @@ fn run_stream_differential(world: &AuditWorld, n_shards: usize, batches: &[(usiz
     run_schedule(world, n_shards, &steps);
 }
 
-/// Drives a canonical oracle and one live engine through the same batch
-/// schedule; after every publish the live engine's *incrementally
-/// advanced* partition must render byte-identically to a cold pin over
-/// the oracle's database.
+/// Drives a canonical oracle database (mutated in place) and one live
+/// engine through the same batch schedule; after every publish the live
+/// engine's *incrementally advanced* partition must render
+/// byte-identically to a cold recompute over the oracle's database.
 fn run_schedule(world: &AuditWorld, n_shards: usize, steps: &[Step]) {
-    let oracle = SharedEngine::new(world.hospital.db.clone());
+    let mut oracle = world.hospital.db.clone();
     let live = ShardedEngine::new(world.hospital.db.clone(), key(world), n_shards);
     let pin = live.pin_suite(world.explainer.suite_pin(&world.spec));
 
-    let check = |tag: &str| {
+    let check = |oracle: &Database, tag: &str| {
         let vec = live.load();
         let m = vec
             .maintained(pin)
             .expect("every publish carries the maintained partition");
-        let cold = cold_maintained(oracle.load().db(), world, n_shards);
+        let cold = cold_maintained(oracle, world);
         assert_eq!(
             render_maintained(m, vec.seq()),
             render_maintained(&cold, vec.seq()),
@@ -161,33 +163,28 @@ fn run_schedule(world: &AuditWorld, n_shards: usize, steps: &[Step]) {
         );
     };
 
-    check("the base epoch");
+    check(&oracle, "the base epoch");
     for (b, step) in steps.iter().enumerate() {
         match step {
             Step::Log(count, seed) => {
-                let before = oracle.load().db().table(world.spec.table).len();
-                oracle.ingest(|db| world.inject_batch(db, *count, *seed));
-                let epoch = oracle.load();
-                let log = epoch.db().table(world.spec.table);
+                let before = oracle.table(world.spec.table).len();
+                world.inject_batch(&mut oracle, *count, *seed);
+                let log = oracle.table(world.spec.table);
                 let rows: Vec<Vec<Value>> = (before..log.len())
                     .map(|r| log.row(r as u32).to_vec())
                     .collect();
-                ingest_rows(&live, epoch.db(), &rows);
-                check(&format!("batch {b} ({count} rows)"));
+                ingest_rows(&live, &oracle, &rows);
+                check(&oracle, &format!("batch {b} ({count} rows)"));
             }
             Step::Dims(grow) => {
-                let dims = grow(oracle.load().db(), world);
-                let before = cold_maintained(oracle.load().db(), world, 1)
-                    .unexplained
-                    .len();
-                oracle.ingest(|db| {
-                    if let Some((name, cols)) = dims.create {
-                        db.create_table(name, cols).expect("new table");
-                    }
-                    for (t, row) in &dims.rows {
-                        db.insert(*t, row.clone()).expect("valid dimension row");
-                    }
-                });
+                let dims = grow(&oracle, world);
+                let before = cold_maintained(&oracle, world).unexplained.len();
+                if let Some((name, cols)) = dims.create {
+                    oracle.create_table(name, cols).expect("new table");
+                }
+                for (t, row) in &dims.rows {
+                    oracle.insert(*t, row.clone()).expect("valid dimension row");
+                }
                 live.ingest(|batch| {
                     if let Some((name, cols)) = dims.create {
                         batch.create_table(name, cols).expect("new table");
@@ -198,11 +195,12 @@ fn run_schedule(world: &AuditWorld, n_shards: usize, steps: &[Step]) {
                             .expect("valid dimension row");
                     }
                 });
-                check(&format!("batch {b} ({} dimension rows)", dims.rows.len()));
+                check(
+                    &oracle,
+                    &format!("batch {b} ({} dimension rows)", dims.rows.len()),
+                );
                 if dims.explains {
-                    let after = cold_maintained(oracle.load().db(), world, 1)
-                        .unexplained
-                        .len();
+                    let after = cold_maintained(&oracle, world).unexplained.len();
                     assert!(after < before, "batch {b} explains old residue rows");
                 }
             }
@@ -284,7 +282,7 @@ fn table(db: &Database, name: &str) -> TableId {
 /// `(patient, user)` of every currently unexplained access, in row order.
 fn unexplained_pairs(db: &Database, world: &AuditWorld) -> Vec<(Value, Value)> {
     let log = db.table(world.spec.table);
-    let pairs: Vec<(Value, Value)> = cold_maintained(db, world, 1)
+    let pairs: Vec<(Value, Value)> = cold_maintained(db, world)
         .unexplained
         .iter()
         .map(|r| {
